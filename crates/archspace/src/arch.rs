@@ -1,7 +1,5 @@
 //! Whole-network architecture IR: stem + block sequence + classifier.
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::{spatial_out, BlockConfig, ConvOp, OpKind};
 use crate::error::ArchError;
 use crate::Result;
@@ -9,7 +7,7 @@ use crate::Result;
 /// The fixed stem in front of the block sequence: a `k × k` convolution with
 /// stride 2 over the RGB input (the paper's backbones all start with a
 /// `Conv 7×7` or `Conv 3×3` stem).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StemConfig {
     /// Output channels of the stem convolution.
     pub out_channels: usize,
@@ -47,7 +45,7 @@ impl StemConfig {
 /// An architecture is the stem, an ordered list of blocks (channel-chained:
 /// `CH1` of block *i* equals the effective output width of block *i − 1*),
 /// global average pooling and a linear classifier.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Architecture {
     name: String,
     stem: StemConfig,

@@ -7,8 +7,6 @@
 //! `γ · max_variation`. Frozen layers keep their pretrained weights; only the
 //! remaining tail slots are searched.
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::{Architecture, StemConfig};
 use crate::block::BlockConfig;
 use crate::error::ArchError;
@@ -16,7 +14,7 @@ use crate::space::{BlockDecision, SearchSpace};
 use crate::Result;
 
 /// The outcome of the freezing analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FreezeDecision {
     /// Index of the first searchable layer (all earlier layers are frozen).
     pub split_layer: usize,
@@ -27,7 +25,7 @@ pub struct FreezeDecision {
 }
 
 /// A backbone with a frozen header and open tail slots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackboneTemplate {
     name: String,
     stem: StemConfig,

@@ -1,9 +1,7 @@
 //! Search-space blocks (MB / DB / RB / CB) and their cost accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// The four basic block types of the FaHaNa search space (paper Figure 4 ➁).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockKind {
     /// MobileNetV2 inverted bottleneck with stride 2 (downsampling).
     Mb,
@@ -51,7 +49,7 @@ impl std::fmt::Display for BlockKind {
 /// vanilla PyTorch, which is exactly why MobileNetV2 measures *slower* than
 /// ResNet-50 on the Raspberry Pi in the paper's Table 3 despite having far
 /// fewer FLOPs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Standard k×k convolution.
     Standard,
@@ -64,7 +62,7 @@ pub enum OpKind {
 }
 
 /// One primitive operation with enough geometry to cost it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvOp {
     /// Operation category.
     pub kind: OpKind,
@@ -120,7 +118,7 @@ impl ConvOp {
 /// `CH1` is inherited from the previous block's `CH3` (the paper notes only
 /// `K`, `CH2` and `CH3` are searchable). A block can also be skipped entirely
 /// to shorten the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockConfig {
     /// Block type.
     pub kind: BlockKind,

@@ -1,7 +1,6 @@
 //! The block-based search space and its action encoding.
 
 use ftensor::SeededRng;
-use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockConfig, BlockKind};
 use crate::error::ArchError;
@@ -10,7 +9,7 @@ use crate::Result;
 /// Hyperparameter choices offered to the controller for each searchable
 /// block (paper Section 3.2 ➁: block type, `K`, `CH2`, `CH3`, and an optional
 /// skip to vary depth).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpaceConfig {
     /// Kernel-size choices.
     pub kernel_choices: Vec<usize>,
@@ -35,7 +34,7 @@ impl Default for SpaceConfig {
 
 /// One searchable block's decisions, as indices into the [`SpaceConfig`]
 /// choice lists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockDecision {
     /// Index into [`BlockKind::ALL`].
     pub kind_idx: usize,
@@ -64,7 +63,7 @@ pub const DECISIONS_PER_BLOCK: usize = 5;
 /// assert_eq!(space.total_decisions(), 20);
 /// assert!(space.log10_size() > 6.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
     config: SpaceConfig,
     slots: usize,

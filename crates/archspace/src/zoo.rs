@@ -3,13 +3,11 @@
 //! values the paper reports for them (used for surrogate calibration and for
 //! the "paper" columns of the regenerated tables).
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::Architecture;
 use crate::block::{BlockConfig, BlockKind};
 
 /// The competitor networks evaluated in the paper (Tables 1 and 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReferenceModel {
     /// MobileNetV2 (manually designed; the G1 fairness baseline).
     MobileNetV2,
@@ -78,7 +76,7 @@ impl std::fmt::Display for ReferenceModel {
 /// The numbers the paper reports for a model (Tables 1 and 3). All fields
 /// are exactly the published values; they anchor the surrogate calibration
 /// and appear in the "paper" columns of the regenerated tables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperMetrics {
     /// Parameter count (`# of Para.` column).
     pub params: u64,

@@ -2,14 +2,13 @@
 
 use ftensor::{SeededRng, Tensor};
 use neural::{Adam, Dense, Layer, LstmCell, LstmState, Optimizer};
-use serde::{Deserialize, Serialize};
 
 use crate::error::FahanaError;
 use crate::reward::EmaBaseline;
 use crate::Result;
 
 /// Hyperparameters of the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Hidden width of the LSTM.
     pub hidden_size: usize,

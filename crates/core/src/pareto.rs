@@ -1,13 +1,11 @@
 //! Pareto-frontier utilities for Figures 5 and 6.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in a two-objective trade-off space.
 ///
 /// By convention the first objective (`maximize`) is to be maximised (e.g.
 /// accuracy, reward) and the second (`minimize`) to be minimised (e.g.
 /// unfairness, model size).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParetoPoint {
     /// Label of the point (architecture name).
     pub label: String,

@@ -1,14 +1,12 @@
 //! The reward function of Eq. 1 and its configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the reward (paper Eq. 1).
 ///
 /// `R = α·A − β·U` when the latency and accuracy constraints are met, and
 /// `−1` otherwise. `α = β = 1` in the paper's evaluation. The optional
 /// `soft_constraints` mode replaces the hard `−1` with a graded penalty and
 /// exists only for the ablation bench (`bench_constraint_mode`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardConfig {
     /// Weight of the accuracy term (α).
     pub alpha: f64,
@@ -36,7 +34,7 @@ impl Default for RewardConfig {
 }
 
 /// The reward of one episode, with the constraint outcome attached.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reward {
     /// The scalar value fed to the policy gradient.
     pub value: f64,
@@ -92,7 +90,7 @@ impl RewardConfig {
 
 /// Exponential-moving-average baseline used by the policy gradient (the
 /// `b` of Eq. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmaBaseline {
     decay: f64,
     value: Option<f64>,

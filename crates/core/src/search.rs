@@ -8,7 +8,6 @@ use evaluator::{
     feature_variation_by_block, EvalRequest, Evaluate, EvaluateBatch, SearchCostConfig,
     SearchCostModel, SurrogateEvaluator,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::controller::{ControllerConfig, EpisodeSample, RnnController};
 use crate::error::FahanaError;
@@ -97,7 +96,7 @@ impl FahanaConfig {
 }
 
 /// What happened in one search episode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpisodeRecord {
     /// Episode index (0-based).
     pub episode: usize,

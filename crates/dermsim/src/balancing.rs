@@ -8,14 +8,13 @@
 //! distribution" rather than exact copies.
 
 use ftensor::SeededRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::generator::DermatologyGenerator;
 use crate::sample::Group;
 
 /// Configuration of the minority-data balancing step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BalancingConfig {
     /// How many times more minority data to end up with (the paper uses 5×).
     pub minority_multiplier: usize,

@@ -1,7 +1,6 @@
 //! In-memory dataset container, splits and tensor export.
 
 use ftensor::{SeededRng, Tensor};
-use serde::{Deserialize, Serialize};
 
 use crate::sample::{Group, Sample};
 use crate::stats::DatasetStats;
@@ -11,7 +10,7 @@ use crate::stats::DatasetStats;
 /// The dataset knows its class and group cardinality so that fairness
 /// metrics can always iterate over *all* groups, including groups that an
 /// unlucky subset might not contain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     samples: Vec<Sample>,
     classes: usize,

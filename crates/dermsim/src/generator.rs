@@ -1,7 +1,6 @@
 //! The synthetic dermatology image generator.
 
 use ftensor::SeededRng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::sample::{Group, Sample};
@@ -12,7 +11,7 @@ use crate::sample::{Group, Sample};
 /// disease classes, two demographic groups with a light-skin majority, and a
 /// minority fraction low enough that an undersized model visibly sacrifices
 /// minority accuracy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DermatologyConfig {
     /// Total number of samples to generate.
     pub samples: usize,

@@ -1,14 +1,12 @@
 //! Samples, demographic groups and disease classes.
 
-use serde::{Deserialize, Serialize};
-
 /// A demographic group defined by an inherent feature (the paper's example
 /// is skin colour dividing the dataset into light and dark skin).
 ///
 /// The paper's formulation supports an arbitrary number of groups; the
 /// generator defaults to two but every consumer of `Group` works with any
 /// number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Group(pub usize);
 
 impl Group {
@@ -34,7 +32,7 @@ impl std::fmt::Display for Group {
 }
 
 /// The five dermatological disease classes of the paper's case study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiseaseClass {
     /// Melanoma.
     Melanoma,
@@ -93,7 +91,7 @@ impl std::fmt::Display for DiseaseClass {
 /// Pixels are stored channel-major (NCHW with N = 1 elided): the first
 /// `size²` values are the red channel, then green, then blue. Values are in
 /// `[0, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Flattened CHW pixel data.
     pub pixels: Vec<f32>,

@@ -1,7 +1,5 @@
 //! Dataset composition statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dataset::Dataset;
 use crate::sample::Group;
 
@@ -10,7 +8,7 @@ use crate::sample::Group;
 ///
 /// The imbalance ratio (`majority / minority`) is the quantity the paper's
 /// Figure 1(b) sweeps by adding 1×–5× minority data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
     /// Sample count per class index.
     pub per_class: Vec<usize>,

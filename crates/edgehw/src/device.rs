@@ -1,12 +1,10 @@
 //! Edge-device profiles.
 
-use serde::{Deserialize, Serialize};
-
 use archspace::block::OpKind;
 
 /// The devices used in the paper's evaluation, plus a generic desktop-class
 /// profile for local experimentation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Raspberry Pi 4 Model B (Broadcom BCM2711, 4× Cortex-A72 @ 1.5 GHz, 8 GB).
     RaspberryPi4,
@@ -72,7 +70,7 @@ impl std::fmt::Display for DeviceKind {
 /// Throughputs are *effective* GFLOP/s per operation kind — they fold in the
 /// framework's kernel efficiency on that device, which is why the depthwise
 /// figure is far below the standard-convolution figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Which device this profile describes.
     pub kind: DeviceKind,

@@ -1,14 +1,12 @@
 //! Analytic per-operation latency estimation.
 
-use serde::{Deserialize, Serialize};
-
 use archspace::block::ConvOp;
 use archspace::Architecture;
 
 use crate::device::DeviceProfile;
 
 /// A latency estimate with its per-category decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBreakdown {
     /// End-to-end latency (ms).
     pub total_ms: f64,

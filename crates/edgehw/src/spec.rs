@@ -1,7 +1,5 @@
 //! Hardware specifications (timing and storage constraints).
 
-use serde::{Deserialize, Serialize};
-
 use archspace::Architecture;
 
 use crate::device::DeviceProfile;
@@ -10,7 +8,7 @@ use crate::latency::LatencyEstimator;
 /// A deployment specification: a target device, a timing constraint `TC`,
 /// and an optional storage limit (the paper's Table 1 filters to models
 /// under 30 MB on a Pi with `TC = 1500 ms`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareSpec {
     /// The target device.
     pub device: DeviceProfile,

@@ -10,10 +10,8 @@
 //! The *valid ratio* is measured, not modelled — it comes out of the actual
 //! search run.
 
-use serde::{Deserialize, Serialize};
-
 /// Constants of the search-cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchCostConfig {
     /// GPU-seconds needed to train one million parameters for one episode's
     /// child network (folds in epochs, dataset size and the cluster's
@@ -39,7 +37,7 @@ impl Default for SearchCostConfig {
 }
 
 /// Accumulates the modelled cost of a search run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchCostModel {
     config: SearchCostConfig,
     total_seconds: f64,

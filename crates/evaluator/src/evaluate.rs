@@ -1,14 +1,13 @@
 //! The [`Evaluate`] trait shared by the surrogate and trained back-ends.
 
 use archspace::Architecture;
-use serde::{Deserialize, Serialize};
 
 use crate::fairness::FairnessReport;
 use crate::Result;
 
 /// The outcome of evaluating one candidate architecture: everything the
 /// reward function of Eq. 1 needs on the software side.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FairnessEvaluation {
     /// Name of the evaluated architecture.
     pub architecture: String,

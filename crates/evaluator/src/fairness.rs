@@ -1,10 +1,9 @@
 //! Fairness metrics: per-group accuracy and the unfairness score.
 
 use dermsim::Group;
-use serde::{Deserialize, Serialize};
 
 /// Accuracy of one demographic group.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupAccuracy {
     /// The group.
     pub group: Group,
@@ -15,7 +14,7 @@ pub struct GroupAccuracy {
 }
 
 /// A full fairness report for one model on one dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FairnessReport {
     /// Accuracy on the whole dataset.
     pub overall_accuracy: f64,

@@ -18,19 +18,17 @@
 //! * seeded per-architecture noise, standing in for training stochasticity.
 //!
 //! The constants are calibrated so that the eleven reference networks land
-//! near their published Table 1/3 numbers; `EXPERIMENTS.md` records the
-//! residuals.
+//! near their published numbers in the paper's Tables 1 and 3.
 
 use archspace::{Architecture, BlockKind};
 use dermsim::{Dataset, Group};
-use serde::{Deserialize, Serialize};
 
 use crate::evaluate::{Evaluate, FairnessEvaluation};
 use crate::fairness::{FairnessReport, GroupAccuracy};
 use crate::Result;
 
 /// Configuration of the surrogate evaluator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SurrogateConfig {
     /// Fraction of evaluation samples belonging to the minority group.
     pub minority_fraction: f64,

@@ -12,12 +12,11 @@ use archspace::Architecture;
 use dermsim::{Dataset, Group};
 use ftensor::stats::mean_row_l2_distance;
 use ftensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 use crate::{EvalError, Result};
 
 /// The per-block feature variation profile of a backbone on a dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureVariationProfile {
     /// Variation (mean-feature L2 distance between groups) after each block.
     pub per_block: Vec<f32>,

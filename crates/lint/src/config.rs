@@ -33,9 +33,6 @@ pub const RULE_IDS: &[&str] = &[
 /// `mod sys` declares today, plus nothing else — growing this list is a
 /// deliberate, reviewed act.
 pub const FFI_ALLOWLIST: &[&str] = &[
-    "epoll_create1",
-    "epoll_ctl",
-    "epoll_wait",
     "poll",
     "pipe",
     "fcntl",

@@ -1,8 +1,8 @@
 //! `fahana-lint` — the project's in-repo invariant checker.
 //!
 //! The compiler cannot see the invariants this reproduction actually
-//! rests on: bit-identical artifacts across sharding/caching/reactor
-//! backends, fixed-order float reductions, and a hand-written `epoll`
+//! rests on: bit-identical artifacts across sharding and caching,
+//! fixed-order float reductions, and the reactor's hand-written `poll`
 //! FFI layer. This crate enforces them statically, with its own
 //! lightweight lexer (no `syn` — the build is offline) and a small rule
 //! engine:

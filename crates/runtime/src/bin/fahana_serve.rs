@@ -3,8 +3,7 @@
 //! ```text
 //! fahana-serve --store DIR [--addr HOST:PORT] [--threads N] [--ingest FILE]...
 //!              [--max-inflight N] [--read-timeout-ms MS] [--max-body-bytes N]
-//!              [--cache-capacity N] [--reactor-backend auto|epoll|poll]
-//!              [--sndbuf BYTES] [--trace-out FILE]
+//!              [--cache-capacity N] [--sndbuf BYTES] [--trace-out FILE]
 //! ```
 //!
 //! A long-lived daemon answering the same questions as `fahana-query`,
@@ -27,10 +26,9 @@
 //! request in slower than `--read-timeout-ms` gets a `408`; a body larger
 //! than `--max-body-bytes` gets a `413` without being buffered.
 //!
-//! Connections are owned by a nonblocking readiness reactor (epoll on
-//! Linux, `poll(2)` elsewhere — force one with `--reactor-backend`), so
-//! `--threads` sizes the *request-handling* pool only: thousands of idle
-//! keep-alive connections park off-worker. `--sndbuf` shrinks each
+//! Connections are owned by a nonblocking `poll(2)` readiness reactor,
+//! so `--threads` sizes the *request-handling* pool only: thousands of
+//! idle keep-alive connections park off-worker. `--sndbuf` shrinks each
 //! socket's kernel send buffer (test-facing, exercises partial writes).
 //!
 //! The daemon self-reports: `GET /metrics` serves the metrics registry in
@@ -44,7 +42,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use fahana_runtime::{ArtifactStore, ReactorBackend, ServeOptions, Server, StoreView, Telemetry};
+use fahana_runtime::{ArtifactStore, ServeOptions, Server, StoreView, Telemetry};
 
 struct Cli {
     store_dir: Option<PathBuf>,
@@ -57,7 +55,7 @@ struct Cli {
 fn usage() -> &'static str {
     "usage: fahana-serve --store DIR [--addr HOST:PORT] [--threads N] [--ingest FILE]... \
      [--max-inflight N] [--read-timeout-ms MS] [--max-body-bytes N] [--cache-capacity N] \
-     [--reactor-backend auto|epoll|poll] [--sndbuf BYTES] [--trace-out FILE]"
+     [--sndbuf BYTES] [--trace-out FILE]"
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -103,9 +101,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--cache-capacity" => {
                 cli.options.cache_capacity =
                     number("--cache-capacity", value_of("--cache-capacity")?)?;
-            }
-            "--reactor-backend" => {
-                cli.options.backend = ReactorBackend::parse(value_of("--reactor-backend")?)?;
             }
             "--sndbuf" => {
                 let bytes = number("--sndbuf", value_of("--sndbuf")?)?;

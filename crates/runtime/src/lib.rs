@@ -79,7 +79,7 @@ pub use report::{
     ScenarioReport,
 };
 pub use scenario::{CampaignConfig, RewardSetting, Scenario};
-pub use serve::{ReactorBackend, ResponseCache, ServeOptions, Server, ServerHandle, StoreView};
+pub use serve::{ResponseCache, ServeOptions, Server, ServerHandle, StoreView};
 pub use shard::{shard_of, CellAssignment, ShardAssignment, ShardSpec};
 pub use snapshot::{CacheSnapshot, MergeOutcome, SnapshotError};
 pub use store::{

@@ -1,7 +1,7 @@
 //! JSON campaign reports: a hand-rolled value tree, a renderer *and* a
 //! parser, and a typed schema layer.
 //!
-//! The offline build has no serde_json (see `vendor/README.md`), so this
+//! The offline build has no third-party JSON crate (see `vendor/README.md`), so this
 //! module carries its own [`Json`] value tree. Emission rules: strings are
 //! escaped per RFC 8259, non-finite numbers become `null` (JSON has no
 //! NaN/∞), and object keys keep insertion order so reports diff cleanly
@@ -155,12 +155,15 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`ReportError::Json`] with the byte offset of the first problem.
+    /// [`ReportError::Json`] with the byte offset of the first problem,
+    /// including arrays and objects nested more than [`MAX_JSON_DEPTH`]
+    /// deep.
     pub fn parse(text: &str) -> Result<Json, ReportError> {
         let mut parser = Parser {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let value = parser.value()?;
         parser.skip_ws();
@@ -220,11 +223,19 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Reports nest a
+/// handful of levels; the bound keeps the recursive descent (and the
+/// recursive drop of the tree) off the end of a worker's stack when a
+/// client posts thousands of `[`.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Recursive-descent JSON parser over the input's bytes.
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -257,14 +268,30 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, ReportError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't' | b'f' | b'n') => self.literal(),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(self.error(format!("unexpected character `{}`", b as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, one level deeper than the caller.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ReportError>,
+    ) -> Result<Json, ReportError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.error(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} arrays/objects"
+            )));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self) -> Result<Json, ReportError> {
@@ -1085,6 +1112,43 @@ mod tests {
                 formatted.contains(needle),
                 "`{text}` should fail with `{needle}`, got `{formatted}`"
             );
+        }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nest = |open: &str, inner: &str, close: &str, depth: usize| {
+            format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+        };
+        let at_limit = Json::parse(&nest("[", "", "]", MAX_JSON_DEPTH)).unwrap();
+        let mut depth = 1;
+        let mut cursor = &at_limit;
+        while let Some([inner]) = cursor.as_arr() {
+            depth += 1;
+            cursor = inner;
+        }
+        assert_eq!(depth, MAX_JSON_DEPTH);
+        assert!(Json::parse(&nest("{\"a\":", "0", "}", MAX_JSON_DEPTH)).is_ok());
+
+        // the error points at the first container past the limit
+        for (text, offset) in [
+            (nest("[", "", "]", MAX_JSON_DEPTH + 1), MAX_JSON_DEPTH),
+            (
+                nest("{\"a\":", "0", "}", MAX_JSON_DEPTH + 1),
+                5 * MAX_JSON_DEPTH,
+            ),
+            ("[".repeat(10_000), MAX_JSON_DEPTH),
+        ] {
+            match Json::parse(&text) {
+                Err(ReportError::Json {
+                    offset: at,
+                    message,
+                }) => {
+                    assert!(message.contains("nesting deeper"), "{message}");
+                    assert_eq!(at, offset);
+                }
+                other => panic!("over-deep document accepted: {other:?}"),
+            }
         }
     }
 

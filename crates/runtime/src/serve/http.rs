@@ -10,55 +10,23 @@
 //! Parsing is incremental: [`RequestParser`] is a push parser fed whatever
 //! bytes happen to be readable, returning a [`Request`] only once the head
 //! and declared body are fully buffered. The reactor
-//! (`serve/reactor.rs`) drives it from readiness events; the blocking
-//! [`read_request`] drives the same parser from timed socket reads, so
-//! both paths share one grammar and one set of error messages. Bytes
-//! beyond the first complete request stay buffered in the parser, so a
+//! (`serve/reactor.rs`) drives it from readiness events. Bytes beyond
+//! the first complete request stay buffered in the parser, so a
 //! pipelining client's next request is parsed (sequentially) instead of
 //! dropped.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Reject header blocks larger than this (64 KiB).
 const MAX_HEAD_BYTES: usize = 64 * 1024;
 /// Default body cap (16 MiB — campaign reports are ~100 KiB); configurable
-/// per server via [`RequestLimits::max_body_bytes`].
+/// per server via [`ServeOptions::max_body_bytes`](crate::serve::ServeOptions::max_body_bytes).
 pub const DEFAULT_MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 /// Default whole-request read deadline; configurable per server via
-/// [`RequestLimits::read_timeout`].
+/// [`ServeOptions::read_timeout`](crate::serve::ServeOptions::read_timeout).
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Per-request read bounds, owned by the server and threaded into
-/// [`read_request`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestLimits {
-    /// Total wall-clock budget for reading one request, head *and* body.
-    /// This is a deadline, not a per-read idle timeout: a slowloris peer
-    /// dribbling one byte per second cannot hold a worker past it.
-    pub read_timeout: Duration,
-    /// Reject bodies whose `Content-Length` exceeds this (413).
-    pub max_body_bytes: usize,
-}
-
-impl Default for RequestLimits {
-    fn default() -> RequestLimits {
-        RequestLimits {
-            read_timeout: DEFAULT_READ_TIMEOUT,
-            max_body_bytes: DEFAULT_MAX_BODY_BYTES,
-        }
-    }
-}
-
-/// Whether an I/O error is one of the two kinds a timed-out socket read
-/// reports (platform-dependent).
-fn is_timeout(error: &std::io::Error) -> bool {
-    matches!(
-        error.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -380,64 +348,6 @@ fn parse_head(head: &[u8], max_body_bytes: usize) -> Result<PendingBody, BadRequ
         keep_alive,
         content_length,
     })
-}
-
-/// Reads one request from the stream, blocking up to the `limits`
-/// deadline. This is the blocking driver over [`RequestParser`] — used by
-/// the non-unix fallback connection loop (the reactor drives the same
-/// parser from readiness events on unix).
-///
-/// `Ok(None)` means the connection ended cleanly before the first byte of
-/// a request — the peer closed a kept-alive connection, or let it idle
-/// past the read timeout. That is the normal end of connection reuse, not
-/// an error, so no 4xx should be written for it.
-///
-/// # Errors
-///
-/// [`BadRequest`] on malformed request lines (400), a request that dribbles
-/// in past the `limits` deadline (408), oversized heads (400) or bodies
-/// (413), or an underful body — peer hung up early (400).
-pub fn read_request(
-    stream: &mut TcpStream,
-    limits: &RequestLimits,
-) -> Result<Option<Request>, BadRequest> {
-    // one absolute deadline covers the whole request (head and body): a
-    // slowloris peer feeding a byte at a time runs out of clock, not just
-    // out of per-read patience
-    let deadline = Instant::now() + limits.read_timeout;
-    let mut parser = RequestParser::new(limits.max_body_bytes);
-    let mut chunk = [0u8; 8192];
-    loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            // an idle keep-alive connection hitting the deadline with no
-            // request bytes on the wire is a quiet close, not a bad
-            // request — a *partial* request at the deadline is a
-            // slowloris peer, answered 408
-            return if parser.is_empty() {
-                Ok(None)
-            } else {
-                Err(BadRequest::timeout(format!(
-                    "{} still incomplete at the read deadline",
-                    parser.phase()
-                )))
-            };
-        }
-        stream.set_read_timeout(Some(remaining)).ok();
-        match stream.read(&mut chunk) {
-            Ok(0) => return parser.on_eof().map(|()| None),
-            Ok(n) => {
-                if let Some(request) = parser.feed(&chunk[..n])? {
-                    return Ok(Some(request));
-                }
-            }
-            // the socket timeout fired (or fired spuriously early): loop —
-            // the deadline check at the top decides quiet close vs 408
-            Err(e) if is_timeout(&e) => continue,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(BadRequest::malformed(format!("cannot read request: {e}"))),
-        }
-    }
 }
 
 /// Splits a request target into its decoded path and query parameters.

@@ -10,20 +10,20 @@
 //!   shared across handler threads as `Arc` snapshots, with the
 //!   generation and campaign set swapped under one lock;
 //! * [`http`] — hand-rolled HTTP/1.1 request parsing and JSON responses
-//!   (no hyper in the offline build), with keep-alive connection reuse
-//!   for sequential clients, per-request read deadlines and body caps
-//!   ([`RequestLimits`]), and a minimal framed client
+//!   (no hyper in the offline build): an incremental request parser with
+//!   head and body caps, and a minimal framed client
 //!   ([`client_roundtrip`], [`client_exchange`]) used by the
 //!   `fahana-shard` coordinator and the `fahana-loadgen` bench;
 //! * [`cache`] — a generation-keyed [`ResponseCache`]: rendered read
 //!   responses valid for exactly one store generation, flushed wholesale
 //!   when `POST /ingest` bumps it, hot entries prerendered on every bump;
 //! * [`router`] — the endpoint table (see below);
-//! * [`reactor`] (unix) — the nonblocking readiness loop (`epoll` with a
-//!   portable `poll(2)` fallback, hand-declared FFI): every accepted
-//!   socket lives here, idle keep-alive connections park off-worker, and
-//!   only complete buffered requests are dispatched to the pool, so
-//!   connection count and `--threads` are independent axes;
+//! * [`reactor`] — the nonblocking readiness loop (one level-triggered
+//!   `poll(2)` interest set, hand-declared FFI): every accepted socket
+//!   lives here, idle keep-alive connections park off-worker, read
+//!   deadlines fire from its timer wheel, and only complete buffered
+//!   requests are dispatched to the pool, so connection count and
+//!   `--threads` are independent axes;
 //! * [`server`] — the [`Server`] accept loop, registering admitted
 //!   connections with the reactor (an in-flight gate ([`ServeOptions`])
 //!   still answers 503 + `Retry-After` at the door when saturated), over
@@ -46,6 +46,12 @@
 //! | `GET /metrics` | the metrics registry, Prometheus text exposition format |
 //! | `GET /statusz` | JSON status: uptime, store generation, per-endpoint latency percentiles |
 //! | `POST /ingest?id=ID` | atomic artifact publish + catalog rebuild + view refresh |
+//!
+//! ## Platform
+//!
+//! The crate is unix-only: the reactor declares its `poll(2)`, `pipe(2)`
+//! and socket-option calls against the C library and uses
+//! `std::os::unix` raw fds. There is no blocking fallback.
 
 pub mod cache;
 pub mod http;
@@ -64,17 +70,14 @@ pub(crate) fn unpoison<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
         Err(poisoned) => poisoned.into_inner(),
     }
 }
-#[cfg(unix)]
 pub(crate) mod reactor;
 pub mod router;
 pub mod server;
 pub mod view;
 
 pub use cache::{CacheLookup, CacheStatsSnapshot, ResponseCache};
-pub use http::{
-    client_exchange, client_roundtrip, ClientResponse, Request, RequestLimits, Response,
-};
+pub use http::{client_exchange, client_roundtrip, ClientResponse, Request, Response};
 pub use obs::ServeTelemetry;
 pub use router::route;
-pub use server::{ReactorBackend, ServeOptions, Server, ServerHandle};
+pub use server::{ServeOptions, Server, ServerHandle};
 pub use view::StoreView;

@@ -176,18 +176,9 @@ impl ServeTelemetry {
             .inc();
     }
 
-    /// Creates the reactor's instrument bundle and pins the readiness
-    /// backend (`epoll` or `poll`) as a labeled constant gauge so a
-    /// scrape can tell which code path is live.
-    pub fn reactor_instruments(&self, backend: &'static str) -> ReactorInstruments {
+    /// Creates the reactor's instrument bundle.
+    pub fn reactor_instruments(&self) -> ReactorInstruments {
         let metrics = self.telemetry.metrics();
-        metrics
-            .gauge_with(
-                "fahana_serve_reactor_backend",
-                "readiness backend in use (constant 1, labeled)",
-                &[("backend", backend)],
-            )
-            .set(1);
         ReactorInstruments {
             parked: metrics.gauge(
                 "fahana_serve_parked_connections",

@@ -1,10 +1,9 @@
 //! The serving reactor: a nonblocking readiness loop that owns every
 //! accepted socket and decouples connection count from pool-worker count.
 //!
-//! Before this module, one connection pinned one [`ThreadPool`] worker
-//! for its whole keep-alive lifetime, so concurrency was capped at
-//! `--threads`. The reactor inverts that: all sockets live here in
-//! nonblocking mode, idle keep-alive connections are *parked* (watched
+//! No connection pins a [`ThreadPool`] worker for its keep-alive
+//! lifetime, so concurrency is not capped at `--threads`: all sockets
+//! live here in nonblocking mode, idle keep-alive connections are *parked* (watched
 //! for readability, costing no worker), and a connection only touches
 //! the pool once a complete request is buffered — the worker routes it,
 //! renders the response bytes, and hands them straight back to the
@@ -12,22 +11,18 @@
 //! `WOULDBLOCK` re-arming. Thousands of mostly-idle connections share a
 //! two-thread pool.
 //!
-//! Readiness comes from `epoll(7)` on Linux (via the hand-declared FFI
-//! shim in [`sys`] — the workspace is offline, so no `libc` crate) with
-//! a portable `poll(2)` fallback selected by
-//! [`ReactorBackend`](crate::serve::ReactorBackend). Both are driven
-//! level-triggered. Read timeouts are no longer `SO_RCVTIMEO` on the
-//! socket: a hashed [`DeadlineWheel`] fires idle, slowloris, and
-//! write-stall deadlines inside the loop, so a slow client is timed out
-//! without ever occupying a worker.
+//! Readiness comes from one level-triggered `poll(2)` interest set (the
+//! [`PollSet`], over the hand-declared FFI shim in [`sys`] — the
+//! workspace is offline, so no `libc` crate). Read timeouts are not
+//! `SO_RCVTIMEO` on the socket: a hashed [`DeadlineWheel`] fires idle,
+//! slowloris, and write-stall deadlines inside the loop, so a slow
+//! client is timed out without ever occupying a worker.
 //!
-//! Everything user-visible from the blocking path is preserved bit for
-//! bit: 503-at-the-door backpressure (still inline on the accept
-//! thread), slowloris 408s with the same message text, 413/400
-//! rejections from the shared incremental [`RequestParser`], the
-//! generation-keyed response cache, and byte-identical response bytes
-//! (`Response::to_bytes` renders the exact head `write_to` used to
-//! stream). Pinned by `tests/serve_load.rs` and
+//! The user-visible contract: 503-at-the-door backpressure (inline on
+//! the accept thread), slowloris 408s, 413/400 rejections from the
+//! incremental [`RequestParser`], the generation-keyed response cache,
+//! and response bytes identical to `Response::write_to` (both render
+//! through `Response::to_bytes`). Pinned by `tests/serve_load.rs` and
 //! `tests/serve_many_conns.rs`.
 
 use std::collections::HashMap;
@@ -43,7 +38,7 @@ use crate::serve::cache::ResponseCache;
 use crate::serve::http::{BadRequest, Request, RequestParser, Response};
 use crate::serve::obs::{ReactorInstruments, ServeTelemetry};
 use crate::serve::router::route;
-use crate::serve::server::{ReactorBackend, MAX_REQUESTS_PER_CONNECTION};
+use crate::serve::server::MAX_REQUESTS_PER_CONNECTION;
 use crate::serve::view::StoreView;
 
 /// Raw system-call surface. Hand-declared because the build is offline
@@ -74,34 +69,6 @@ mod sys {
     pub const POLLHUP: c_short = 0x10;
     pub const POLLNVAL: c_short = 0x20;
 
-    #[cfg(target_os = "linux")]
-    pub const EPOLLIN: u32 = 0x1;
-    #[cfg(target_os = "linux")]
-    pub const EPOLLOUT: u32 = 0x4;
-    #[cfg(target_os = "linux")]
-    pub const EPOLLERR: u32 = 0x8;
-    #[cfg(target_os = "linux")]
-    pub const EPOLLHUP: u32 = 0x10;
-    #[cfg(target_os = "linux")]
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    #[cfg(target_os = "linux")]
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    #[cfg(target_os = "linux")]
-    pub const EPOLL_CTL_MOD: c_int = 3;
-    #[cfg(target_os = "linux")]
-    pub const EPOLL_CLOEXEC: c_int = 0o2000000;
-
-    /// Matches the kernel's `struct epoll_event`, which is packed on
-    /// x86-64 (12 bytes) but naturally aligned elsewhere.
-    #[cfg(target_os = "linux")]
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
     #[repr(C)]
     #[derive(Clone, Copy)]
     pub struct PollFd {
@@ -116,17 +83,6 @@ mod sys {
     pub type NfdsT = u32;
 
     extern "C" {
-        #[cfg(target_os = "linux")]
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        #[cfg(target_os = "linux")]
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        #[cfg(target_os = "linux")]
-        pub fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
         pub fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
         pub fn pipe(fds: *mut c_int) -> c_int;
         // declared non-variadic with the one argument shape we use;
@@ -153,15 +109,15 @@ const WAKE_TOKEN: u64 = u64::MAX;
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Most reads served to one connection per readiness event, so a single
-/// firehose peer cannot starve the rest of the loop. Level-triggered
-/// backends re-report leftover data on the next wait.
+/// firehose peer cannot starve the rest of the loop. Readiness is level
+/// triggered, so leftover data is re-reported on the next wait.
 const READS_PER_EVENT: usize = 32;
 
 /// What a connection is registered for.
 const INTEREST_READ: u8 = 0b01;
 const INTEREST_WRITE: u8 = 0b10;
 
-/// One readiness report from the backend.
+/// One readiness report from the [`PollSet`].
 #[derive(Clone, Copy, Debug)]
 struct Event {
     token: u64,
@@ -169,149 +125,36 @@ struct Event {
     writable: bool,
 }
 
-/// The readiness source: `epoll` where available, `poll` everywhere
-/// else. Both are used level-triggered so the reactor never needs to
-/// drain a socket completely in one pass.
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll { epfd: RawFd },
-    Poll {
-        /// fd → (token, interest); rebuilt into a `pollfd` array per wait.
-        interest: HashMap<RawFd, (u64, u8)>,
-    },
+/// The readiness source: one `poll(2)` interest set, driven
+/// level-triggered so the reactor never needs to drain a socket
+/// completely in one pass.
+struct PollSet {
+    /// fd → (token, interest); rebuilt into a `pollfd` array per wait.
+    interest: HashMap<RawFd, (u64, u8)>,
 }
 
-impl Backend {
-    fn new(choice: ReactorBackend) -> io::Result<Backend> {
-        match choice {
-            ReactorBackend::Auto => {
-                #[cfg(target_os = "linux")]
-                {
-                    Backend::epoll().or_else(|_| Ok(Backend::poll()))
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    Ok(Backend::poll())
-                }
-            }
-            ReactorBackend::Epoll => {
-                #[cfg(target_os = "linux")]
-                {
-                    Backend::epoll()
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "epoll backend requires linux; use --reactor-backend poll",
-                    ))
-                }
-            }
-            ReactorBackend::Poll => Ok(Backend::poll()),
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    fn epoll() -> io::Result<Backend> {
-        // SAFETY: epoll_create1 takes no pointers; any flag value is
-        // safe to pass and errors surface as a negative return checked
-        // below.
-        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Backend::Epoll { epfd })
-    }
-
-    fn poll() -> Backend {
-        Backend::Poll {
+impl PollSet {
+    fn new() -> PollSet {
+        PollSet {
             interest: HashMap::new(),
         }
     }
 
-    /// The value of the `backend` label on `fahana_serve_reactor_backend`.
-    fn label(&self) -> &'static str {
-        match self {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { .. } => "epoll",
-            Backend::Poll { .. } => "poll",
-        }
+    /// Registers `fd` under `token`, or replaces its token and interest
+    /// if it is already registered. Interest 0 suppresses plain
+    /// readiness; errors and hangups still surface.
+    fn set(&mut self, fd: RawFd, token: u64, interest: u8) {
+        self.interest.insert(fd, (token, interest));
     }
 
-    #[cfg(target_os = "linux")]
-    fn epoll_mask(interest: u8) -> u32 {
-        let mut events = 0;
-        if interest & INTEREST_READ != 0 {
-            events |= sys::EPOLLIN;
-        }
-        if interest & INTEREST_WRITE != 0 {
-            events |= sys::EPOLLOUT;
-        }
-        events
-    }
-
-    #[cfg(target_os = "linux")]
-    fn epoll_ctl(
-        epfd: RawFd,
-        op: std::os::raw::c_int,
-        fd: RawFd,
-        token: u64,
-        interest: u8,
-    ) -> io::Result<()> {
-        let mut event = sys::EpollEvent {
-            events: Backend::epoll_mask(interest),
-            data: token,
-        };
-        // SAFETY: `event` is a live, initialized EpollEvent on this
-        // stack frame for the duration of the call; the kernel copies it
-        // before returning. `epfd`/`fd`/`op` are plain ints validated by
-        // the kernel (errors surface as -1, checked below).
-        if unsafe { sys::epoll_ctl(epfd, op, fd, &mut event) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    fn add(&mut self, fd: RawFd, token: u64, interest: u8) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                Backend::epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, fd, token, interest)
-            }
-            Backend::Poll { interest: map } => {
-                map.insert(fd, (token, interest));
-                Ok(())
-            }
-        }
-    }
-
-    fn modify(&mut self, fd: RawFd, token: u64, interest: u8) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                Backend::epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fd, token, interest)
-            }
-            Backend::Poll { interest: map } => {
-                map.insert(fd, (token, interest));
-                Ok(())
-            }
-        }
-    }
-
-    fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => Backend::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, 0, 0),
-            Backend::Poll { interest: map } => {
-                map.remove(&fd);
-                Ok(())
-            }
-        }
+    /// Stops watching `fd`; a no-op for an fd that is not registered.
+    fn remove(&mut self, fd: RawFd) {
+        self.interest.remove(&fd);
     }
 
     /// Blocks until readiness, a timeout, or a wake. `None` blocks
     /// indefinitely. `EINTR` returns an empty batch rather than an error.
-    fn wait(&mut self, timeout: Option<Duration>, events: &mut Vec<Event>) -> io::Result<()> {
+    fn wait(&self, timeout: Option<Duration>, events: &mut Vec<Event>) -> io::Result<()> {
         events.clear();
         let timeout_ms = match timeout {
             None => -1,
@@ -321,96 +164,52 @@ impl Backend {
                 ms.min(i32::MAX as u64) as i32
             }
         };
-        match self {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                let mut buf = [sys::EpollEvent { events: 0, data: 0 }; 256];
-                // SAFETY: `buf` is a stack array of 256 initialized
-                // events and `maxevents` is exactly its length, so the
-                // kernel writes within bounds; only the first `n`
-                // entries are read, and only when `n >= 0`.
-                let n = unsafe {
-                    sys::epoll_wait(*epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
-                };
-                if n < 0 {
-                    let err = io::Error::last_os_error();
-                    if err.kind() == io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(err);
+        let mut fds: Vec<sys::PollFd> = self
+            .interest
+            .iter()
+            .map(|(&fd, &(_, want))| {
+                let mut mask = 0;
+                if want & INTEREST_READ != 0 {
+                    mask |= sys::POLLIN;
                 }
-                for entry in buf.iter().take(n as usize) {
-                    // copy out of the (possibly packed) struct by value
-                    let mask = { entry.events };
-                    let token = { entry.data };
-                    events.push(Event {
-                        token,
-                        readable: mask & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                        writable: mask & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                    });
+                if want & INTEREST_WRITE != 0 {
+                    mask |= sys::POLLOUT;
                 }
-                Ok(())
+                sys::PollFd {
+                    fd,
+                    events: mask,
+                    revents: 0,
+                }
+            })
+            .collect();
+        // SAFETY: `fds` is a live Vec of initialized PollFds and `nfds`
+        // is exactly its length; the kernel only rewrites the `revents`
+        // field of each entry in bounds.
+        let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as sys::NfdsT, timeout_ms) };
+        if n < 0 {
+            let err = io::Error::last_os_error();
+            if err.kind() == io::ErrorKind::Interrupted {
+                return Ok(());
             }
-            Backend::Poll { interest } => {
-                let mut fds: Vec<sys::PollFd> = interest
-                    .iter()
-                    .map(|(&fd, &(_, want))| {
-                        let mut mask = 0;
-                        if want & INTEREST_READ != 0 {
-                            mask |= sys::POLLIN;
-                        }
-                        if want & INTEREST_WRITE != 0 {
-                            mask |= sys::POLLOUT;
-                        }
-                        sys::PollFd {
-                            fd,
-                            events: mask,
-                            revents: 0,
-                        }
-                    })
-                    .collect();
-                // SAFETY: `fds` is a live Vec of initialized PollFds
-                // and `nfds` is exactly its length; the kernel only
-                // rewrites the `revents` field of each entry in bounds.
-                let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as sys::NfdsT, timeout_ms) };
-                if n < 0 {
-                    let err = io::Error::last_os_error();
-                    if err.kind() == io::ErrorKind::Interrupted {
-                        return Ok(());
-                    }
-                    return Err(err);
-                }
-                for pfd in &fds {
-                    if pfd.revents == 0 {
-                        continue;
-                    }
-                    let Some(&(token, _)) = interest.get(&pfd.fd) else {
-                        continue;
-                    };
-                    // error states wake both directions so the state
-                    // machine observes the failure wherever it is
-                    let failed = pfd.revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0;
-                    events.push(Event {
-                        token,
-                        readable: failed || pfd.revents & sys::POLLIN != 0,
-                        writable: failed || pfd.revents & sys::POLLOUT != 0,
-                    });
-                }
-                Ok(())
+            return Err(err);
+        }
+        for pfd in &fds {
+            if pfd.revents == 0 {
+                continue;
             }
+            let Some(&(token, _)) = self.interest.get(&pfd.fd) else {
+                continue;
+            };
+            // error states wake both directions so the state machine
+            // observes the failure wherever it is
+            let failed = pfd.revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0;
+            events.push(Event {
+                token,
+                readable: failed || pfd.revents & sys::POLLIN != 0,
+                writable: failed || pfd.revents & sys::POLLOUT != 0,
+            });
         }
-    }
-}
-
-impl Drop for Backend {
-    fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Backend::Epoll { epfd } = self {
-            // SAFETY: `epfd` was returned by epoll_create1, is owned
-            // exclusively by this Backend, and Drop runs once — no
-            // double close, and nothing uses the fd afterwards.
-            unsafe { sys::close(*epfd) };
-        }
+        Ok(())
     }
 }
 
@@ -614,7 +413,6 @@ impl Drop for ReactorShared {
 pub(crate) struct ReactorConfig {
     pub read_timeout: Duration,
     pub max_body_bytes: usize,
-    pub backend: ReactorBackend,
 }
 
 /// The accept thread's handle: register new connections, then shut the
@@ -651,7 +449,7 @@ impl Drop for ReactorHandle {
     }
 }
 
-/// Builds the backend and self-pipe and starts the reactor thread.
+/// Builds the poll set and self-pipe and starts the reactor thread.
 pub(crate) fn spawn_reactor(
     config: ReactorConfig,
     pool: Arc<ThreadPool>,
@@ -660,7 +458,6 @@ pub(crate) fn spawn_reactor(
     cache: Arc<ResponseCache>,
     inflight: Arc<AtomicUsize>,
 ) -> io::Result<ReactorHandle> {
-    let mut backend = Backend::new(config.backend)?;
     let mut pipe_fds = [0; 2];
     // SAFETY: pipe(2) writes exactly two ints into `pipe_fds`, a live
     // stack array of two ints; the fds are only used when it returns 0.
@@ -668,9 +465,7 @@ pub(crate) fn spawn_reactor(
         return Err(io::Error::last_os_error());
     }
     let (wake_reader, wake_writer) = (pipe_fds[0], pipe_fds[1]);
-    let wired = set_nonblocking_fd(wake_reader)
-        .and_then(|()| set_nonblocking_fd(wake_writer))
-        .and_then(|()| backend.add(wake_reader, WAKE_TOKEN, INTEREST_READ));
+    let wired = set_nonblocking_fd(wake_reader).and_then(|()| set_nonblocking_fd(wake_writer));
     if let Err(err) = wired {
         // SAFETY: both fds were just created by pipe(2) above, nothing
         // else has taken ownership yet (ReactorShared is not built on
@@ -682,7 +477,9 @@ pub(crate) fn spawn_reactor(
         }
         return Err(err);
     }
-    let instruments = obs.reactor_instruments(backend.label());
+    let mut readiness = PollSet::new();
+    readiness.set(wake_reader, WAKE_TOKEN, INTEREST_READ);
+    let instruments = obs.reactor_instruments();
     let shared = Arc::new(ReactorShared {
         registrations: Mutex::new(Vec::new()),
         completions: Mutex::new(Vec::new()),
@@ -691,7 +488,7 @@ pub(crate) fn spawn_reactor(
     });
     let now = Instant::now();
     let mut reactor = Reactor {
-        backend,
+        readiness,
         wake_reader,
         shared: Arc::clone(&shared),
         conns: HashMap::new(),
@@ -772,7 +569,7 @@ enum WriteOutcome {
 }
 
 struct Reactor {
-    backend: Backend,
+    readiness: PollSet,
     wake_reader: RawFd,
     shared: Arc<ReactorShared>,
     conns: HashMap<u64, Conn>,
@@ -794,7 +591,7 @@ impl Reactor {
         let mut due = Vec::new();
         loop {
             let timeout = self.wheel.next_timeout(Instant::now());
-            if let Err(err) = self.backend.wait(timeout, &mut events) {
+            if let Err(err) = self.readiness.wait(timeout, &mut events) {
                 // a broken readiness source is unrecoverable; closing
                 // everything beats spinning on the same error forever
                 eprintln!("fahana-serve: reactor wait failed: {err}");
@@ -819,7 +616,7 @@ impl Reactor {
         for token in tokens {
             self.close(token);
         }
-        self.backend.remove(self.wake_reader).ok();
+        self.readiness.remove(self.wake_reader);
         // SAFETY: `wake_reader` came from pipe(2), is owned solely by
         // the reactor loop, and this shutdown path runs once right
         // before the loop returns — nothing reads the fd afterwards.
@@ -931,10 +728,7 @@ impl Reactor {
             self.parked -= 1;
             self.instruments.parked.set(self.parked as i64);
         }
-        if self.backend.modify(fd, token, 0).is_err() {
-            self.close(token);
-            return;
-        }
+        self.readiness.set(fd, token, 0);
         self.instruments.dispatches.inc();
         let view = Arc::clone(&self.view);
         let obs = Arc::clone(&self.obs);
@@ -1023,9 +817,7 @@ impl Reactor {
             WriteOutcome::Done { keep_alive, drain } => self.finish_write(token, keep_alive, drain),
             WriteOutcome::Blocked => {
                 self.instruments.partial_writes.inc();
-                if self.backend.modify(fd, token, INTEREST_WRITE).is_err() {
-                    self.close(token);
-                }
+                self.readiness.set(fd, token, INTEREST_WRITE);
             }
             WriteOutcome::Gone => self.close(token),
         }
@@ -1077,20 +869,15 @@ impl Reactor {
             Next::Close => self.close(token),
             Next::Drain(fd) => {
                 self.wheel.insert(token, deadline, now);
-                if self.backend.modify(fd, token, INTEREST_READ).is_err() {
-                    self.close(token);
-                } else {
-                    // the peer may already have buffered bytes to discard
-                    self.progress_drain(token);
-                }
+                self.readiness.set(fd, token, INTEREST_READ);
+                // the peer may already have buffered bytes to discard
+                self.progress_drain(token);
             }
             Next::Park(fd) => {
                 self.parked += 1;
                 self.instruments.parked.set(self.parked as i64);
                 self.wheel.insert(token, deadline, now);
-                if self.backend.modify(fd, token, INTEREST_READ).is_err() {
-                    self.close(token);
-                }
+                self.readiness.set(fd, token, INTEREST_READ);
             }
             Next::Pipelined(request) => {
                 // restore interest bookkeeping before re-dispatching so
@@ -1180,14 +967,7 @@ impl Reactor {
         for stream in streams {
             let token = self.next_token;
             self.next_token += 1;
-            let fd = stream.as_raw_fd();
-            if self.backend.add(fd, token, INTEREST_READ).is_err() {
-                // could not watch it: give the in-flight slot back and
-                // count the failure like an accept error
-                self.inflight.fetch_sub(1, Ordering::AcqRel);
-                self.obs.record_accept_error();
-                continue;
-            }
+            self.readiness.set(stream.as_raw_fd(), token, INTEREST_READ);
             let deadline = now + self.config.read_timeout;
             self.conns.insert(
                 token,
@@ -1234,7 +1014,7 @@ impl Reactor {
                 self.parked -= 1;
                 self.instruments.parked.set(self.parked as i64);
             }
-            self.backend.remove(conn.stream.as_raw_fd()).ok();
+            self.readiness.remove(conn.stream.as_raw_fd());
             // release the in-flight slot BEFORE the socket drops: a
             // waiting client must never see its next connection 503'd by
             // a slot this already-answered connection still holds
@@ -1300,62 +1080,38 @@ mod tests {
 
     #[test]
     fn poll_backend_reports_readable_with_token() {
-        let mut backend = Backend::poll();
-        assert_eq!(backend.label(), "poll");
+        let mut readiness = PollSet::new();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
-        backend
-            .add(server_side.as_raw_fd(), 42, INTEREST_READ)
-            .unwrap();
+        readiness.set(server_side.as_raw_fd(), 42, INTEREST_READ);
 
         let mut events = Vec::new();
-        backend
+        readiness
             .wait(Some(Duration::from_millis(10)), &mut events)
             .unwrap();
         assert!(events.is_empty(), "readable before any bytes: {events:?}");
 
         client.write_all(b"ping").unwrap();
-        backend
+        readiness
             .wait(Some(Duration::from_secs(2)), &mut events)
             .unwrap();
         assert_eq!(events.len(), 1, "{events:?}");
         assert_eq!(events[0].token, 42);
         assert!(events[0].readable);
 
-        backend.remove(server_side.as_raw_fd()).unwrap();
-        backend
-            .wait(Some(Duration::from_millis(10)), &mut events)
-            .unwrap();
-        assert!(events.is_empty(), "removed fd still reported: {events:?}");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_backend_reports_readable_with_token() {
-        let mut backend = Backend::epoll().unwrap();
-        assert_eq!(backend.label(), "epoll");
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        backend
-            .add(server_side.as_raw_fd(), 7, INTEREST_READ)
-            .unwrap();
-
-        let mut events = Vec::new();
-        client.write_all(b"ping").unwrap();
-        backend
-            .wait(Some(Duration::from_secs(2)), &mut events)
-            .unwrap();
-        assert_eq!(events.len(), 1, "{events:?}");
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable);
-
         // interest 0 suppresses plain readability (hangups still surface)
-        backend.modify(server_side.as_raw_fd(), 7, 0).unwrap();
-        backend
+        readiness.set(server_side.as_raw_fd(), 42, 0);
+        readiness
             .wait(Some(Duration::from_millis(20)), &mut events)
             .unwrap();
         assert!(events.is_empty(), "interest 0 still readable: {events:?}");
+
+        readiness.set(server_side.as_raw_fd(), 42, INTEREST_READ);
+        readiness.remove(server_side.as_raw_fd());
+        readiness
+            .wait(Some(Duration::from_millis(10)), &mut events)
+            .unwrap();
+        assert!(events.is_empty(), "removed fd still reported: {events:?}");
     }
 }

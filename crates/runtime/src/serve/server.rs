@@ -1,17 +1,15 @@
 //! The long-lived HTTP server: a `TcpListener` accept loop feeding the
 //! event-driven [`reactor`](crate::serve::reactor).
 //!
-//! Connections honor HTTP/1.1 keep-alive, and — on unix — connection
-//! count and pool-worker count are independent axes: each accepted
-//! socket is registered with the reactor's readiness loop, which parks
-//! it nonblocking until a complete request is buffered and only then
+//! Connections honor HTTP/1.1 keep-alive, and connection count and
+//! pool-worker count are independent axes: each accepted socket is
+//! registered with the reactor's readiness loop, which parks it
+//! nonblocking until a complete request is buffered and only then
 //! dispatches one pool job for the routing work. Thousands of
-//! mostly-idle keep-alive connections share a `--threads 2` pool. (On
-//! non-unix targets a blocking fallback path keeps the old
-//! one-connection-per-worker model.) Reuse is bounded either way: an
-//! idle connection is dropped after the read timeout, and no connection
-//! serves more than [`MAX_REQUESTS_PER_CONNECTION`] requests before the
-//! server closes it.
+//! mostly-idle keep-alive connections share a `--threads 2` pool. Reuse
+//! is bounded: an idle connection is dropped after the read timeout, and
+//! no connection serves more than [`MAX_REQUESTS_PER_CONNECTION`]
+//! requests before the server closes it.
 //!
 //! The accept loop stays the backpressure point. At most
 //! [`ServeOptions::max_inflight`] connections are in flight at once;
@@ -28,19 +26,12 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-#[cfg(not(unix))]
-use std::time::Instant;
 
 use crate::pool::ThreadPool;
 use crate::serve::cache::ResponseCache;
-#[cfg(not(unix))]
-use crate::serve::http::{read_request, RequestLimits};
 use crate::serve::http::{Response, DEFAULT_MAX_BODY_BYTES, DEFAULT_READ_TIMEOUT};
 use crate::serve::obs::ServeTelemetry;
-#[cfg(unix)]
 use crate::serve::reactor::{set_sndbuf, spawn_reactor, ReactorConfig};
-#[cfg(not(unix))]
-use crate::serve::router::route;
 use crate::serve::router::warm;
 use crate::serve::view::StoreView;
 use crate::telemetry::Telemetry;
@@ -53,37 +44,6 @@ pub(crate) const MAX_REQUESTS_PER_CONNECTION: usize = 1000;
 /// (EMFILE, reset-before-accept, …) so a persistent local error cannot
 /// spin it hot.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
-
-/// Which readiness backend the reactor should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReactorBackend {
-    /// `epoll` where the platform has it, `poll(2)` otherwise.
-    #[default]
-    Auto,
-    /// Require `epoll`; spawning the reactor fails off-Linux.
-    Epoll,
-    /// Force the portable `poll(2)` path (also useful to exercise the
-    /// fallback on Linux).
-    Poll,
-}
-
-impl ReactorBackend {
-    /// Parses a `--reactor-backend` CLI value.
-    ///
-    /// # Errors
-    ///
-    /// A usage message naming the accepted values.
-    pub fn parse(value: &str) -> Result<ReactorBackend, String> {
-        match value {
-            "auto" => Ok(ReactorBackend::Auto),
-            "epoll" => Ok(ReactorBackend::Epoll),
-            "poll" => Ok(ReactorBackend::Poll),
-            other => Err(format!(
-                "unknown reactor backend `{other}` (expected auto, epoll, or poll)"
-            )),
-        }
-    }
-}
 
 /// Server tuning knobs, all bounded with conservative defaults. Every
 /// field has a matching `fahana-serve` CLI flag.
@@ -105,8 +65,6 @@ pub struct ServeOptions {
     pub cache_capacity: usize,
     /// The `Retry-After` value (seconds) sent with saturation 503s.
     pub retry_after_secs: u64,
-    /// Readiness backend selection for the reactor.
-    pub backend: ReactorBackend,
     /// When set, shrink each accepted socket's kernel send buffer to
     /// this many bytes (test-facing: forces the partial-write path).
     pub sndbuf: Option<usize>,
@@ -121,7 +79,6 @@ impl Default for ServeOptions {
             max_body_bytes: DEFAULT_MAX_BODY_BYTES,
             cache_capacity: 256,
             retry_after_secs: 1,
-            backend: ReactorBackend::Auto,
             sndbuf: None,
         }
     }
@@ -261,45 +218,21 @@ impl Server {
         })
     }
 
-    /// Accepts connections until [`ServerHandle::shutdown`] is called.
-    /// On unix each connection is registered with the reactor's
-    /// readiness loop; elsewhere it occupies a pool worker for its
-    /// lifetime. Blocks the calling thread.
-    ///
-    /// # Errors
-    ///
-    /// Fatal listener or reactor-spawn errors only; per-connection errors
-    /// are answered on the wire (4xx/5xx) or dropped, never propagated.
-    pub fn run(&self) -> std::io::Result<()> {
-        #[cfg(unix)]
-        {
-            self.run_event_driven()
-        }
-        #[cfg(not(unix))]
-        {
-            self.run_blocking()
-        }
-    }
-
     /// Accepts a connection from the listener, applying the transient-
     /// failure backoff, TCP_NODELAY, the optional SO_SNDBUF override, and
-    /// the inline 503 in-flight gate. `Ok(None)` means "skip this one and
+    /// the inline 503 in-flight gate. `None` means "skip this one and
     /// keep accepting"; a returned stream holds an in-flight slot.
-    fn accept_gated(
-        &self,
-        stream: std::io::Result<TcpStream>,
-    ) -> std::io::Result<Option<TcpStream>> {
+    fn accept_gated(&self, stream: std::io::Result<TcpStream>) -> Option<TcpStream> {
         let Ok(mut stream) = stream else {
             // transient accept failure (EMFILE, reset, …): count it
             // and back off briefly instead of spinning on the error
             self.obs.record_accept_error();
             std::thread::sleep(ACCEPT_BACKOFF);
-            return Ok(None);
+            return None;
         };
         // answers are small and written head-then-body; without
         // this, Nagle + delayed-ACK adds ~40ms to every response
         stream.set_nodelay(true).ok();
-        #[cfg(unix)]
         if let Some(bytes) = self.options.sndbuf {
             set_sndbuf(&stream, bytes).ok();
         }
@@ -334,21 +267,25 @@ impl Server {
                     Ok(_) => {}
                 }
             }
-            return Ok(None);
+            return None;
         }
-        Ok(Some(stream))
+        Some(stream)
     }
 
-    /// The event-driven accept loop: every admitted connection is handed
-    /// to the reactor nonblocking; pool workers only ever see complete,
-    /// parsed requests.
-    #[cfg(unix)]
-    fn run_event_driven(&self) -> std::io::Result<()> {
+    /// Accepts connections until [`ServerHandle::shutdown`] is called.
+    /// Every admitted connection is handed to the reactor nonblocking;
+    /// pool workers only ever see complete, parsed requests. Blocks the
+    /// calling thread.
+    ///
+    /// # Errors
+    ///
+    /// Fatal listener or reactor-spawn errors only; per-connection errors
+    /// are answered on the wire (4xx/5xx) or dropped, never propagated.
+    pub fn run(&self) -> std::io::Result<()> {
         let mut reactor = spawn_reactor(
             ReactorConfig {
                 read_timeout: self.options.read_timeout,
                 max_body_bytes: self.options.max_body_bytes,
-                backend: self.options.backend,
             },
             Arc::clone(&self.pool),
             Arc::clone(&self.view),
@@ -360,7 +297,7 @@ impl Server {
             if self.shutdown.load(Ordering::Acquire) {
                 break;
             }
-            let Some(stream) = self.accept_gated(stream)? else {
+            let Some(stream) = self.accept_gated(stream) else {
                 continue;
             };
             if stream.set_nonblocking(true).is_err() {
@@ -374,82 +311,6 @@ impl Server {
         reactor.shutdown_and_join();
         Ok(())
     }
-
-    /// Fallback for targets without the reactor: one pool worker per
-    /// connection, blocking reads under `SO_RCVTIMEO`.
-    #[cfg(not(unix))]
-    fn run_blocking(&self) -> std::io::Result<()> {
-        for stream in self.listener.incoming() {
-            if self.shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            let Some(stream) = self.accept_gated(stream)? else {
-                continue;
-            };
-            let view = Arc::clone(&self.view);
-            let obs = Arc::clone(&self.obs);
-            let cache = Arc::clone(&self.cache);
-            let inflight = Arc::clone(&self.inflight);
-            let limits = RequestLimits {
-                read_timeout: self.options.read_timeout,
-                max_body_bytes: self.options.max_body_bytes,
-            };
-            self.pool.spawn(move || {
-                handle_connection(stream, &view, &obs, &cache, &limits);
-                inflight.fetch_sub(1, Ordering::AcqRel);
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Serves requests off one connection until the peer asks to close (or
-/// closes), the read deadline fires, the per-connection request cap is
-/// reached, or a request fails to parse. Every request is accounted into
-/// `obs` (endpoint counter, latency, byte totals); the connection itself
-/// is accounted on the way out (keep-alive reuse).
-#[cfg(not(unix))]
-fn handle_connection(
-    mut stream: TcpStream,
-    view: &StoreView,
-    obs: &ServeTelemetry,
-    cache: &ResponseCache,
-    limits: &RequestLimits,
-) {
-    let mut served = 0;
-    while served < MAX_REQUESTS_PER_CONNECTION {
-        match read_request(&mut stream, limits) {
-            Ok(Some(request)) => {
-                served += 1;
-                // honor the client's wish, but advertise close on the
-                // connection's last allowed request
-                let keep_alive = request.keep_alive && served < MAX_REQUESTS_PER_CONNECTION;
-                let handling = Instant::now();
-                let response = route(&request, view, obs, cache);
-                let written = response.write_to(&mut stream, keep_alive);
-                obs.record_request(
-                    &request.path,
-                    response.status,
-                    handling.elapsed(),
-                    request.body.len(),
-                    written.as_ref().copied().unwrap_or(0),
-                );
-                if written.is_err() || !keep_alive {
-                    break; // peer gone, or an agreed close
-                }
-            }
-            // clean end of a kept-alive connection (EOF or idle timeout)
-            Ok(None) => break,
-            Err(bad) => {
-                // the peer may already be gone; nothing useful to do about it
-                Response::error(bad.status, bad.message)
-                    .write_to(&mut stream, false)
-                    .ok();
-                break;
-            }
-        }
-    }
-    obs.record_connection(served);
 }
 
 #[cfg(test)]

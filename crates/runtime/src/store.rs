@@ -122,10 +122,13 @@ impl StoreQuery {
     ///
     /// A human-readable message for unknown keys or unparsable values.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        // NaN and the infinities parse as f64 but are no usable bound
         let number = |key: &str, value: &str| -> Result<f64, String> {
             value
                 .parse()
-                .map_err(|_| format!("`{key}` expects a number, got `{value}`"))
+                .ok()
+                .filter(|bound: &f64| bound.is_finite())
+                .ok_or_else(|| format!("`{key}` expects a number, got `{value}`"))
         };
         match key {
             "device" => {
@@ -1009,10 +1012,12 @@ mod tests {
             .set("freezing", "maybe")
             .unwrap_err()
             .contains("on/off"));
-        assert!(query
-            .set("max_latency_ms", "fast")
-            .unwrap_err()
-            .contains("number"));
+        for key in ["max_latency_ms", "max_unfairness", "min_accuracy"] {
+            for value in ["fast", "NaN", "nan", "inf", "-inf", "infinity"] {
+                let err = query.set(key, value).unwrap_err();
+                assert!(err.contains("expects a number"), "{key}={value}: {err}");
+            }
+        }
         assert!(query
             .set("max_params", "1.5")
             .unwrap_err()

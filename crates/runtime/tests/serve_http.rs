@@ -185,6 +185,10 @@ fn serve_covers_every_endpoint() {
     // error surface: unknown route, bad filter, bad method
     assert_eq!(get(addr, "/nope").0, 404);
     assert_eq!(get(addr, "/query?device=toaster").0, 400);
+    assert_eq!(
+        get(addr, "/query?device=raspberry_pi_4&max_latency_ms=NaN").0,
+        400
+    );
     assert_eq!(http(addr, "DELETE", "/catalog", b"").0, 405);
 
     handle.shutdown();
@@ -295,9 +299,8 @@ fn keep_alive_responses_advertise_it() {
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert!(head.contains("Connection: keep-alive"), "{head}");
 
-    // close our end before stopping the server: the pool worker parked in
-    // read_request sees EOF immediately instead of idling out the full
-    // READ_TIMEOUT during shutdown
+    // close our end before stopping the server, so the reactor sees EOF
+    // and closes the connection itself rather than at shutdown
     drop(stream);
     handle.shutdown();
     runner.join().unwrap();
@@ -573,6 +576,28 @@ fn serve_ingests_live_without_restart() {
             .as_i64(),
         Some(2)
     );
+
+    handle.shutdown();
+    runner.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn deeply_nested_ingest_body_is_a_400_not_a_crash() {
+    let dir = temp_dir("deep-ingest");
+    let store_root = dir.join("store");
+    ArtifactStore::open(&store_root)
+        .unwrap()
+        .ingest("seeded", &tiny_report(63))
+        .unwrap();
+    let (addr, handle, runner) = start_server(&store_root);
+
+    // unbounded recursive descent would overflow the worker's stack here
+    let (status, body) = http(addr, "POST", "/ingest?id=x", "[".repeat(10_000).as_bytes());
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper"), "{body}");
+    assert_eq!(get(addr, "/healthz").0, 200);
+    assert!(!store_root.join("artifacts/x.json").exists());
 
     handle.shutdown();
     runner.join().unwrap();

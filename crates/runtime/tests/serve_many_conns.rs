@@ -3,11 +3,7 @@
 //! served byte-perfectly by a two-thread pool, requests dribbled in one
 //! byte at a time are assembled by the incremental parser, a pipelined
 //! flood through a deliberately tiny `SO_SNDBUF` exercises the
-//! partial-write/re-arm path without corrupting a single response, and
-//! the portable `poll(2)` backend answers byte-identically to the
-//! default backend.
-
-#![cfg(unix)]
+//! partial-write/re-arm path without corrupting a single response.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -18,8 +14,8 @@ use std::time::Duration;
 use edgehw::DeviceKind;
 use fahana_runtime::serve::client_exchange;
 use fahana_runtime::{
-    campaign_json, ArtifactStore, CampaignConfig, CampaignEngine, ReactorBackend, RewardSetting,
-    ServeOptions, Server, ServerHandle, StoreView,
+    campaign_json, ArtifactStore, CampaignConfig, CampaignEngine, RewardSetting, ServeOptions,
+    Server, ServerHandle, StoreView,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -299,65 +295,5 @@ fn pipelined_flood_through_tiny_sndbuf_stays_intact() {
     );
     handle.shutdown();
     runner.join().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The portable `poll(2)` fallback must be indistinguishable on the
-/// wire: same store, same requests, byte-identical bodies to the default
-/// (epoll) backend, with the backend label gauge naming the code path.
-#[test]
-fn poll_backend_answers_byte_identically() {
-    let dir = temp_dir("pollback");
-    ArtifactStore::open(&dir)
-        .unwrap()
-        .ingest("base", &tiny_report(503))
-        .unwrap();
-    let (auto_addr, auto_handle, auto_runner) = start_server(
-        &dir,
-        ServeOptions {
-            threads: 2,
-            ..ServeOptions::default()
-        },
-    );
-    let (poll_addr, poll_handle, poll_runner) = start_server(
-        &dir,
-        ServeOptions {
-            threads: 2,
-            backend: ReactorBackend::Poll,
-            ..ServeOptions::default()
-        },
-    );
-
-    let mut auto_conn = TcpStream::connect(auto_addr).unwrap();
-    let mut poll_conn = TcpStream::connect(poll_addr).unwrap();
-    for target in [
-        "/healthz",
-        "/query?device=raspberry_pi_4",
-        "/catalog",
-        "/leaderboard/raspberry_pi_4?top=3",
-    ] {
-        let reference = client_exchange(&mut auto_conn, "GET", target, &[]).unwrap();
-        let candidate = client_exchange(&mut poll_conn, "GET", target, &[]).unwrap();
-        assert_eq!(reference.status, 200, "{target}");
-        assert_eq!(candidate.status, reference.status, "{target}");
-        assert_eq!(
-            candidate.body, reference.body,
-            "poll backend diverged on {target}"
-        );
-    }
-
-    let mut metrics_conn = TcpStream::connect(poll_addr).unwrap();
-    let scrape = client_exchange(&mut metrics_conn, "GET", "/metrics", &[]).unwrap();
-    assert!(
-        scrape
-            .body
-            .contains("fahana_serve_reactor_backend{backend=\"poll\"} 1"),
-        "poll backend not labeled in /metrics"
-    );
-
-    auto_handle.shutdown();
-    poll_handle.shutdown();
-    auto_runner.join().unwrap();
-    poll_runner.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::tensor::Tensor;
 
@@ -100,7 +99,7 @@ impl SeededRng {
 }
 
 /// Weight-initialisation schemes for neural layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Initializer {
     /// All zeros (used for biases).
     Zeros,

@@ -1,7 +1,5 @@
 //! Shape bookkeeping for dense row-major tensors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::Result;
 
@@ -20,7 +18,7 @@ use crate::Result;
 /// assert_eq!(shape.volume(), 24);
 /// assert_eq!(shape.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

@@ -1,7 +1,5 @@
 //! The dense row-major tensor type.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TensorError;
 use crate::kernels;
 use crate::shape::Shape;
@@ -25,7 +23,7 @@ use crate::Result;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

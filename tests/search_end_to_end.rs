@@ -80,7 +80,7 @@ fn freezing_improves_valid_ratio_and_shrinks_space_versus_monas() {
     // reuse the frozen pretrained header and train only the searched tail,
     // while every MONAS child trains end to end. (Whole-run time
     // additionally depends on how many children each method gets to train,
-    // which is what Table 2 reports; see EXPERIMENTS.md.)
+    // which is what the paper's Table 2 reports.)
     for record in fahana.history.iter().filter(|r| r.trained_params > 0) {
         assert!(
             record.trained_params < record.params,
