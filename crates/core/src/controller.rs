@@ -179,11 +179,21 @@ impl RnnController {
     ///
     /// # Errors
     ///
-    /// Returns an error if an episode's action count does not match the
-    /// controller's decision count.
+    /// Returns [`FahanaError::InvalidEpisode`] — before changing any state —
+    /// if an episode's action count does not match the controller's decision
+    /// count, an action is outside its decision's choices, or a reward is
+    /// not finite.
     pub fn update(&mut self, episodes: &[(EpisodeSample, f64)]) -> Result<()> {
         if episodes.is_empty() {
             return Ok(());
+        }
+        for (index, (sample, reward)) in episodes.iter().enumerate() {
+            self.validate_episode(sample, *reward).map_err(|reason| {
+                FahanaError::InvalidEpisode {
+                    episode: index,
+                    reason,
+                }
+            })?;
         }
         let steps = self.cardinalities.len();
         let batch = episodes.len() as f32;
@@ -193,12 +203,6 @@ impl RnnController {
             head.zero_grad();
         }
         for (sample, reward) in episodes {
-            if sample.actions.len() != steps {
-                return Err(FahanaError::InvalidConfig(format!(
-                    "episode has {} actions, controller expects {steps}",
-                    sample.actions.len()
-                )));
-            }
             let advantage = self.baseline.advantage(*reward) as f32;
             // replay the episode with forced actions, accumulating gradients
             self.lstm.clear_cache();
@@ -227,6 +231,31 @@ impl RnnController {
             optimizer.step(head);
         }
         self.updates += 1;
+        Ok(())
+    }
+
+    fn validate_episode(
+        &self,
+        sample: &EpisodeSample,
+        reward: f64,
+    ) -> std::result::Result<(), String> {
+        let steps = self.cardinalities.len();
+        if sample.actions.len() != steps {
+            return Err(format!(
+                "{} actions, controller expects {steps}",
+                sample.actions.len()
+            ));
+        }
+        for (step, (&action, &card)) in sample.actions.iter().zip(&self.cardinalities).enumerate() {
+            if action >= card {
+                return Err(format!(
+                    "action {action} at step {step} is outside its {card} choices"
+                ));
+            }
+        }
+        if !reward.is_finite() {
+            return Err(format!("reward {reward} is not finite"));
+        }
         Ok(())
     }
 }
@@ -314,6 +343,72 @@ mod tests {
         };
         assert!(ctrl.update(&[(bad, 1.0)]).is_err());
         assert!(ctrl.update(&[]).is_ok());
+    }
+
+    fn episode(actions: Vec<usize>) -> EpisodeSample {
+        EpisodeSample {
+            actions,
+            log_prob: -1.0,
+        }
+    }
+
+    #[test]
+    fn rejected_update_leaves_the_baseline_and_policy_untouched() {
+        let mut ctrl = controller(vec![4, 3], 11);
+        let mut twin = controller(vec![4, 3], 11);
+        let batch = [(episode(vec![1, 2]), 5.0), (episode(vec![1]), 1.0)];
+        let err = ctrl.update(&batch).unwrap_err();
+        assert_eq!(ctrl.baseline(), 0.0);
+        assert_eq!(ctrl.update_count(), 0);
+        assert!(
+            matches!(err, FahanaError::InvalidEpisode { episode: 1, .. }),
+            "{err}"
+        );
+        assert_eq!(
+            ctrl.first_step_distribution().unwrap(),
+            twin.first_step_distribution().unwrap()
+        );
+        // the next valid update sees the same state as a fresh controller
+        let good = [(episode(vec![1, 2]), 5.0)];
+        ctrl.update(&good).unwrap();
+        twin.update(&good).unwrap();
+        assert_eq!(ctrl.baseline(), twin.baseline());
+        assert_eq!(
+            ctrl.first_step_distribution().unwrap(),
+            twin.first_step_distribution().unwrap()
+        );
+    }
+
+    #[test]
+    fn update_rejects_an_action_outside_its_cardinality() {
+        let mut ctrl = controller(vec![4, 3], 12);
+        let err = ctrl.update(&[(episode(vec![9, 0]), 1.0)]).unwrap_err();
+        assert!(
+            matches!(err, FahanaError::InvalidEpisode { episode: 0, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("action 9"), "{err}");
+        assert_eq!(ctrl.baseline(), 0.0);
+    }
+
+    #[test]
+    fn update_rejects_a_non_finite_reward() {
+        let mut ctrl = controller(vec![4, 3], 13);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = ctrl
+                .update(&[(episode(vec![0, 1]), 1.0), (episode(vec![2, 0]), bad)])
+                .unwrap_err();
+            assert!(
+                matches!(err, FahanaError::InvalidEpisode { episode: 1, .. }),
+                "{err}"
+            );
+        }
+        assert_eq!(ctrl.baseline(), 0.0);
+        assert!(ctrl
+            .first_step_distribution()
+            .unwrap()
+            .iter()
+            .all(|p| p.is_finite()));
     }
 
     #[test]

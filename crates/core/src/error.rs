@@ -14,6 +14,15 @@ pub enum FahanaError {
     Controller(neural::NeuralError),
     /// The search configuration is inconsistent.
     InvalidConfig(String),
+    /// An episode handed to a controller update does not fit the controller
+    /// (wrong action count, an action outside its decision's choices, or a
+    /// non-finite reward).
+    InvalidEpisode {
+        /// Position of the offending episode in the update batch.
+        episode: usize,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for FahanaError {
@@ -23,6 +32,12 @@ impl fmt::Display for FahanaError {
             FahanaError::Evaluation(e) => write!(f, "evaluation error: {e}"),
             FahanaError::Controller(e) => write!(f, "controller error: {e}"),
             FahanaError::InvalidConfig(msg) => write!(f, "invalid search configuration: {msg}"),
+            FahanaError::InvalidEpisode { episode, reason } => {
+                write!(
+                    f,
+                    "invalid episode {episode} in controller update: {reason}"
+                )
+            }
         }
     }
 }
@@ -33,7 +48,7 @@ impl Error for FahanaError {
             FahanaError::Architecture(e) => Some(e),
             FahanaError::Evaluation(e) => Some(e),
             FahanaError::Controller(e) => Some(e),
-            FahanaError::InvalidConfig(_) => None,
+            FahanaError::InvalidConfig(_) | FahanaError::InvalidEpisode { .. } => None,
         }
     }
 }
@@ -74,6 +89,13 @@ mod tests {
 
         let e = FahanaError::InvalidConfig("w".into());
         assert!(e.source().is_none());
+
+        let e = FahanaError::InvalidEpisode {
+            episode: 3,
+            reason: "v".into(),
+        };
+        assert!(e.source().is_none());
+        assert!(e.to_string().contains("episode 3") && e.to_string().contains('v'));
     }
 
     #[test]
