@@ -11,6 +11,11 @@
 //! filesystems, so readers see either the old file or the complete new
 //! one, never a prefix.
 //!
+//! Nothing here calls `fsync`, on the staged file or on its directory, so
+//! the guarantee covers a crashed *process* only: after an OS crash or a
+//! power loss the renamed file may still be empty or missing. The
+//! ROADMAP's durable-publish item tracks closing that gap.
+//!
 //! The temporary name embeds the process id and a per-process counter, so
 //! concurrent writers (several workers sharing a directory, or a retry
 //! racing a straggler from a previous attempt) never stage into each
@@ -27,8 +32,9 @@ static STAGING_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Writes `contents` to `path` atomically: the bytes are staged to a
 /// unique hidden `.NAME.PID-SEQ.tmp` sibling and renamed into place, so
-/// no reader — and no crash at any instant — ever observes a partially
-/// written file at `path`.
+/// no reader — and no process crash at any instant — ever observes a
+/// partially written file at `path`. Nothing is `fsync`ed, so an OS
+/// crash or power loss is not covered (see the module docs).
 ///
 /// # Errors
 ///

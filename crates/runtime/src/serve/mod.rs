@@ -6,9 +6,10 @@
 //! process spawn and a whole-store re-parse per question. This module is
 //! the serving front-end the ROADMAP calls for instead:
 //!
-//! * [`view`] — a reload-on-ingest [`StoreView`]: campaigns parsed once,
+//! * [`view`] — an update-on-ingest [`StoreView`]: campaigns parsed once,
 //!   shared across handler threads as `Arc` snapshots, with the
-//!   generation and campaign set swapped under one lock;
+//!   generation and campaign set swapped under one lock; an ingest
+//!   inserts the one new campaign instead of re-reading the store;
 //! * [`http`] — hand-rolled HTTP/1.1 request parsing and JSON responses
 //!   (no hyper in the offline build): an incremental request parser with
 //!   head and body caps, and a minimal framed client

@@ -222,7 +222,7 @@ impl ServeTelemetry {
         metrics
             .gauge(
                 "fahana_store_generation",
-                "store view reload generation (bumps on every reload)",
+                "store view generation (bumps on every ingest or reload)",
             )
             .set(view.generation() as i64);
         metrics

@@ -490,4 +490,33 @@ mod tests {
 
         std::fs::remove_dir_all(view.store().root()).ok();
     }
+
+    #[test]
+    fn ingest_succeeds_beside_a_corrupt_sibling_artifact() {
+        let view = seeded_view("corrupt-sibling");
+        let obs = ServeTelemetry::disabled();
+        let cache = ResponseCache::new(64);
+        let seeded = view.store().root().join("artifacts").join("seeded.json");
+        let report = std::fs::read_to_string(&seeded).unwrap();
+        // tampered with after the view loaded it: the ingest must neither
+        // read it nor fail because of it
+        std::fs::write(&seeded, "not json").unwrap();
+
+        let request = Request {
+            method: "POST".into(),
+            path: "/ingest".into(),
+            query: vec![("id".into(), "fresh".into())],
+            body: report.into_bytes(),
+            keep_alive: false,
+        };
+        let response = route(&request, &view, &obs, &cache);
+        assert_eq!(response.status, 201, "{}", response.body);
+        let ids: Vec<String> = view.campaigns().iter().map(|c| c.id.clone()).collect();
+        assert_eq!(ids, ["fresh", "seeded"]);
+        assert_eq!(view.generation(), 1);
+        let catalog = std::fs::read_to_string(view.store().root().join("catalog.json")).unwrap();
+        assert_eq!(catalog, catalog_json(&view.campaigns()).render());
+
+        std::fs::remove_dir_all(view.store().root()).ok();
+    }
 }

@@ -1,15 +1,23 @@
-//! A shared, reload-on-ingest read view over an [`ArtifactStore`].
+//! A shared, update-on-ingest read view over an [`ArtifactStore`].
 //!
 //! The one-shot `fahana-query` CLI re-scans and re-parses every artifact
 //! per invocation — fine for a batch tool, unacceptable per request in a
 //! long-lived daemon. [`StoreView`] parses the store once at startup and
-//! hands out cheap `Arc` snapshots of the campaign set; the set is only
-//! re-read from disk when an ingest goes through the view (or [`reload`]
-//! is called after out-of-band writes).
+//! hands out cheap `Arc` snapshots of the campaign set.
+//!
+//! An ingest through the view parses only the report it publishes: it
+//! inserts that campaign into a copy of the current list at its sorted
+//! position and writes `catalog.json` from the list, so its cost does not
+//! grow with the number of stored reports beyond copying the in-memory
+//! list and rendering the catalog. A directory listing (names only, no
+//! reads) checks that the disk holds exactly the view's ids plus the new
+//! one; when another process has written artifacts meanwhile (say a
+//! concurrent `fahana-campaign --store`), the view heals by re-reading
+//! the store from disk instead. [`reload`] re-reads it on demand.
 //!
 //! [`reload`]: StoreView::reload
 
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use crate::store::{ArtifactStore, StoreError, StoredCampaign};
 
@@ -25,11 +33,16 @@ use crate::store::{ArtifactStore, StoreError, StoredCampaign};
 #[derive(Debug)]
 pub struct StoreView {
     store: ArtifactStore,
-    /// `(generation, campaigns)`, swapped atomically on reload. The
-    /// generation bumps on every successful [`StoreView::reload`];
-    /// `/statusz` reports it so a scraper can tell "the daemon restarted"
-    /// from "the view refreshed".
+    /// `(generation, campaigns)`, swapped atomically. The generation
+    /// bumps by one on every successful [`StoreView::ingest`] or
+    /// [`StoreView::reload`]; `/statusz` reports it so a scraper can tell
+    /// "the daemon restarted" from "the view refreshed".
     state: RwLock<(u64, Arc<Vec<StoredCampaign>>)>,
+    /// Serializes ingests and reloads from their first read of the
+    /// current list to their swap, so two of them can never both build
+    /// on the same list and lose each other's update, or write an older
+    /// catalog last.
+    writer: Mutex<()>,
 }
 
 impl StoreView {
@@ -45,11 +58,12 @@ impl StoreView {
         Ok(StoreView {
             store,
             state: RwLock::new((0, campaigns)),
+            writer: Mutex::new(()),
         })
     }
 
-    /// How many times the view has been successfully reloaded since it
-    /// was opened.
+    /// How many times the view has been successfully updated (by an
+    /// ingest or a reload) since it was opened.
     pub fn generation(&self) -> u64 {
         super::unpoison(self.state.read()).0
     }
@@ -82,29 +96,74 @@ impl StoreView {
     /// As [`ArtifactStore::campaigns`]; the previous snapshot stays
     /// in place on failure.
     pub fn reload(&self) -> Result<usize, StoreError> {
-        let fresh = Arc::new(self.store.campaigns()?);
+        let _serialize = super::unpoison(self.writer.lock());
+        let fresh = self.store.campaigns()?;
         let count = fresh.len();
-        let mut state = super::unpoison(self.state.write());
-        state.0 += 1;
-        state.1 = fresh;
+        self.swap(fresh);
         Ok(count)
     }
 
-    /// Ingests a report through the store (atomic artifact publish +
-    /// catalog rebuild) and refreshes the view, so the next query sees the
+    /// Ingests a report and updates the view, so the next query sees the
     /// new campaign without a daemon restart.
+    ///
+    /// The report is validated and published like
+    /// [`ArtifactStore::ingest`] does. The next campaign list is the
+    /// current one with the parsed report inserted at its sorted position,
+    /// and `catalog.json` is written from that list — no stored artifact
+    /// is read. If the artifact names on disk are not exactly the view's
+    /// ids plus `id` (another process wrote to the store), the list is
+    /// re-read from disk instead and the catalog rebuilt from it, as
+    /// [`ArtifactStore::rebuild_catalog`] plus [`StoreView::reload`]
+    /// would. The generation bumps by one either way.
     ///
     /// # Errors
     ///
-    /// As [`ArtifactStore::ingest`]. A *reload* failure after a successful
-    /// ingest is swallowed: the artifact is already durable, so reporting
-    /// an error would tell the client its (accepted) publish failed — and
-    /// a retry would then hit `DuplicateId`. The stale view heals on the
-    /// next successful reload.
+    /// As [`ArtifactStore::ingest`], for failures up to and including the
+    /// publish. Anything that fails after a successful publish — listing
+    /// the directory, re-reading it, writing the catalog — is swallowed:
+    /// the artifact is already on disk, so reporting an error would tell
+    /// the client its (accepted) publish failed, and a retry would then
+    /// hit `DuplicateId`. The view then holds the in-memory list, and a
+    /// stale catalog heals on the next successful ingest or
+    /// [`ArtifactStore::rebuild_catalog`].
     pub fn ingest(&self, id: &str, report_json: &str) -> Result<StoredCampaign, StoreError> {
-        let stored = self.store.ingest(id, report_json)?;
-        self.reload().ok();
+        let _serialize = super::unpoison(self.writer.lock());
+        let stored = self.store.ingest_inner(id, report_json)?;
+        let mut next = self.campaigns().as_ref().clone();
+        match next.binary_search_by(|campaign| campaign.id.as_str().cmp(id)) {
+            // an artifact deleted out-of-band and now published again
+            // under its old id: the fresh report replaces the stale one
+            Ok(at) => next[at] = stored.clone(),
+            Err(at) => next.insert(at, stored.clone()),
+        }
+
+        let catalog = self.store.lock_catalog();
+        let in_sync = self
+            .store
+            .artifact_ids()
+            .is_ok_and(|ids| ids.iter().eq(next.iter().map(|c| &c.id)));
+        if !in_sync {
+            if let Ok(fresh) = self.store.campaigns() {
+                next = fresh;
+            }
+        }
+        self.store.write_catalog_of(&next).ok();
+        drop(catalog);
+
+        self.swap(next);
         Ok(stored)
+    }
+
+    /// Installs `campaigns` as the next generation.
+    fn swap(&self, campaigns: Vec<StoredCampaign>) {
+        let campaigns = Arc::new(campaigns);
+        let mut state = super::unpoison(self.state.write());
+        state.0 += 1;
+        let previous = std::mem::replace(&mut state.1, campaigns);
+        drop(state);
+        // freeing the last reference to a large list takes milliseconds;
+        // readers must not wait on it
+        drop(previous);
     }
 }
 
@@ -112,6 +171,7 @@ impl StoreView {
 mod tests {
     use super::*;
     use crate::scenario::{CampaignConfig, RewardSetting};
+    use crate::store::catalog_json;
     use crate::{campaign_json, CampaignEngine};
     use edgehw::DeviceKind;
 
@@ -159,6 +219,43 @@ mod tests {
             view.ingest("second", &tiny_report(4)),
             Err(StoreError::DuplicateId(_))
         ));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn ingest_heals_from_disk_when_the_artifact_names_disagree() {
+        let root = std::env::temp_dir().join(format!("fahana-view-heal-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let store = ArtifactStore::open(&root).unwrap();
+        let report = tiny_report(5);
+        for id in ["a", "b"] {
+            store.ingest(id, &report).unwrap();
+        }
+        let view = StoreView::open(store.clone()).unwrap();
+        let ids = |view: &StoreView| -> Vec<String> {
+            view.campaigns().iter().map(|c| c.id.clone()).collect()
+        };
+        let catalog = || std::fs::read_to_string(root.join("catalog.json")).unwrap();
+
+        // another writer deletes one artifact and adds one: the count still
+        // matches the view's, the names do not
+        std::fs::remove_file(root.join("artifacts").join("a.json")).unwrap();
+        store.ingest("c", &report).unwrap();
+        view.ingest("d", &report).unwrap();
+        assert_eq!(ids(&view), ["b", "c", "d"]);
+        assert_eq!(view.generation(), 1);
+        assert_eq!(
+            catalog(),
+            catalog_json(&store.campaigns().unwrap()).render()
+        );
+
+        // a heal that cannot parse the disk still acknowledges the publish:
+        // the view and the catalog fall back to the in-memory list
+        std::fs::write(root.join("artifacts").join("junk.json"), "not json").unwrap();
+        view.ingest("e", &report).unwrap();
+        assert_eq!(ids(&view), ["b", "c", "d", "e"]);
+        assert_eq!(view.generation(), 2);
+        assert_eq!(catalog(), catalog_json(&view.campaigns()).render());
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -17,8 +17,13 @@
 //! ```
 //!
 //! Artifacts are the source of truth; `catalog.json` is a derived,
-//! human-readable index rebuilt on every ingest (it is never read back,
-//! so a stale or deleted catalog can not corrupt anything). Scenarios are
+//! human-readable index rewritten on every ingest (it is never read back,
+//! so a stale or deleted catalog can not corrupt anything). The one-shot
+//! paths ([`ArtifactStore::ingest`], [`ArtifactStore::rebuild_catalog`])
+//! rebuild it by re-parsing every artifact on disk; the daemon's
+//! [`crate::serve::StoreView::ingest`] already holds every campaign parsed
+//! and writes it from that in-memory list, re-reading the disk only when
+//! the artifact names show an out-of-band writer. Scenarios are
 //! keyed by device slug × reward name × freezing mode — the three grid
 //! axes of [`crate::scenario::CampaignConfig`].
 
@@ -480,7 +485,7 @@ fn sweep_stale_tmp(dir: &Path) {
 ///
 /// Clones share one catalog-rebuild lock, so concurrent in-process
 /// ingests serialize their `catalog.json` regeneration: the last rebuild
-/// is guaranteed to have scanned the artifacts directory *after* every
+/// is guaranteed to have listed the artifacts directory *after* every
 /// completed ingest, i.e. the settled catalog is complete. (Writers in
 /// *other* processes still interleave safely — the atomic rename means no
 /// reader ever sees a torn catalog — but the settled document then
@@ -547,7 +552,13 @@ impl ArtifactStore {
         Ok(stored)
     }
 
-    fn ingest_inner(&self, id: &str, report_json: &str) -> Result<StoredCampaign, StoreError> {
+    /// Validates and publishes one artifact without touching
+    /// `catalog.json` — the shared first half of every ingest path.
+    pub(crate) fn ingest_inner(
+        &self,
+        id: &str,
+        report_json: &str,
+    ) -> Result<StoredCampaign, StoreError> {
         if id.is_empty()
             || !id
                 .chars()
@@ -726,9 +737,9 @@ impl ArtifactStore {
                 message: e.to_string(),
             })?;
             let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
+            let Some(id) = artifact_id(&path) else {
                 continue;
-            }
+            };
             let text = std::fs::read_to_string(&path).map_err(|e| StoreError::Io {
                 path: path.display().to_string(),
                 message: e.to_string(),
@@ -737,10 +748,6 @@ impl ArtifactStore {
                 path: path.display().to_string(),
                 error,
             })?;
-            let id = path
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_default();
             campaigns.push(StoredCampaign { id, report });
         }
         campaigns.sort_by(|a, b| a.id.cmp(&b.id));
@@ -769,25 +776,85 @@ impl ArtifactStore {
         self.write_catalog()
     }
 
-    /// Regenerates `catalog.json` (see [`catalog_json`]).
+    /// The ids of every artifact on disk, sorted — the names
+    /// [`ArtifactStore::campaigns`] would load, found by listing the
+    /// directory without reading or parsing a single file.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on an unreadable artifacts directory.
+    pub(crate) fn artifact_ids(&self) -> Result<Vec<String>, StoreError> {
+        let dir = self.root.join("artifacts");
+        let io = |e: std::io::Error| StoreError::Io {
+            path: dir.display().to_string(),
+            message: e.to_string(),
+        };
+        let mut ids = Vec::new();
+        for entry in std::fs::read_dir(&dir).map_err(io)? {
+            ids.extend(artifact_id(&entry.map_err(io)?.path()));
+        }
+        ids.sort();
+        Ok(ids)
+    }
+
+    /// Takes the catalog-rebuild lock shared by every clone (see the
+    /// type-level docs). A caller that writes the catalog from its own
+    /// list holds it from its [`ArtifactStore::artifact_ids`] check to
+    /// its [`ArtifactStore::write_catalog_of`], so a concurrent
+    /// in-process ingest either shows up in that listing or rebuilds the
+    /// catalog from disk after it.
+    pub(crate) fn lock_catalog(&self) -> std::sync::MutexGuard<'_, ()> {
+        // the lock guards no data, so a panicked holder leaves nothing torn
+        self.catalog_lock
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Regenerates `catalog.json` from the artifacts on disk (see
+    /// [`catalog_json`]). Rebuilds are serialized across clones (see the
+    /// type-level docs), so the settled catalog covers every in-process
+    /// ingest.
+    fn write_catalog(&self) -> Result<(), StoreError> {
+        let _serialize = self.lock_catalog();
+        self.write_catalog_of(&self.campaigns()?)
+    }
+
+    /// Writes `catalog.json` for `campaigns` (sorted by id, as
+    /// [`ArtifactStore::campaigns`] returns them). The caller holds
+    /// [`ArtifactStore::lock_catalog`].
     ///
     /// The write is atomic ([`crate::fsutil::write_atomic`]: staged in a
-    /// hidden uniquely named sibling and renamed into place), so a crash
-    /// or a concurrent ingest can never leave a torn catalog — readers
-    /// always observe some complete catalog, matching the artifact publish
-    /// discipline of [`ArtifactStore::ingest`]. Rebuilds are serialized
-    /// across clones (see the type-level docs), so the settled catalog
-    /// covers every in-process ingest.
-    fn write_catalog(&self) -> Result<(), StoreError> {
-        let _serialize = self.catalog_lock.lock().expect("catalog lock poisoned");
-        let campaigns = self.campaigns()?;
-        let catalog = catalog_json(&campaigns);
+    /// hidden uniquely named sibling and renamed into place), so a
+    /// process crash or a concurrent ingest can never leave a torn
+    /// catalog — readers always observe some complete catalog, matching
+    /// the artifact publish discipline of [`ArtifactStore::ingest`].
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on write failures.
+    pub(crate) fn write_catalog_of(&self, campaigns: &[StoredCampaign]) -> Result<(), StoreError> {
         let path = self.root.join("catalog.json");
-        crate::fsutil::write_atomic(&path, catalog.render()).map_err(|e| StoreError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
+        crate::fsutil::write_atomic(&path, catalog_json(campaigns).render()).map_err(|e| {
+            StoreError::Io {
+                path: path.display().to_string(),
+                message: e.to_string(),
+            }
         })
     }
+}
+
+/// The artifact id a path under `artifacts/` stands for: the stem of a
+/// `*.json` file. Hidden `.*.tmp` staging files and anything else yield
+/// `None`.
+fn artifact_id(path: &Path) -> Option<String> {
+    if path.extension().and_then(|e| e.to_str()) != Some("json") {
+        return None;
+    }
+    Some(
+        path.file_stem()
+            .map(|s| s.to_string_lossy().into_owned())
+            .unwrap_or_default(),
+    )
 }
 
 #[cfg(test)]
