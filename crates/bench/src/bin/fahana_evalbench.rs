@@ -1,7 +1,7 @@
 //! `fahana-evalbench` — records the evaluation-hot-path before/after
 //! numbers into `BENCH_eval.json`.
 //!
-//! Three measurement families:
+//! Two measurement families:
 //!
 //! 1. **Kernels** — each lane-chunked kernel timed against the retained
 //!    scalar reference implementation (`ftensor::kernels::reference`),
@@ -11,14 +11,15 @@
 //!    allocating `forward` path vs the scratch-arena `forward_scratch`
 //!    path, with the arena's allocation/reuse counters asserting that the
 //!    steady state allocates nothing.
-//! 3. **Micro-campaign** — the default 8-scenario campaign grid end to
-//!    end, single-threaded and dual-threaded, via `fahana-runtime`.
+//!
+//! Campaign wall clock is fbench's job (`fbench/run.py --workload
+//! campaign`), which also breaks the grid down by layer.
 //!
 //! Usage: `fahana-evalbench [--out BENCH_eval.json] [--iters N]`
 
 use std::time::Instant;
 
-use fahana_runtime::{CampaignConfig, CampaignEngine, Json};
+use fahana_runtime::Json;
 use ftensor::{kernels, Scratch, SeededRng, Tensor};
 use neural::{Dense, Layer, Relu, Sequential};
 
@@ -147,21 +148,6 @@ fn forward_pair(iters: u32) -> ((String, Json), Json) {
     (pair("dense_stack_forward_32x64", before, after), counters)
 }
 
-fn campaign_ms(threads: usize) -> f64 {
-    let config = CampaignConfig {
-        episodes: 8,
-        samples: 150,
-        threads,
-        ..CampaignConfig::default()
-    };
-    let engine = CampaignEngine::new(config).expect("valid campaign grid");
-    let start = Instant::now();
-    let outcome = engine.run().expect("campaign runs");
-    let elapsed = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(outcome.scenarios.len(), 8);
-    elapsed
-}
-
 fn main() {
     let mut out_path = String::from("BENCH_eval.json");
     let mut iters: u32 = 2000;
@@ -188,9 +174,6 @@ fn main() {
     let kernels_json = kernel_pairs(iters);
     eprintln!("fahana-evalbench: timing forward pass...");
     let (forward_json, scratch_json) = forward_pair(iters);
-    eprintln!("fahana-evalbench: timing micro-campaign (8 scenarios)...");
-    let campaign_1t = campaign_ms(1);
-    let campaign_2t = campaign_ms(2);
 
     let mut sections = kernels_json;
     sections.push(forward_json);
@@ -199,15 +182,6 @@ fn main() {
         ("iters".into(), Json::Int(i64::from(iters))),
         ("pairs".into(), Json::Obj(sections)),
         ("scratch".into(), scratch_json),
-        (
-            "campaign".into(),
-            Json::Obj(vec![
-                ("episodes".into(), Json::Int(8)),
-                ("scenarios".into(), Json::Int(8)),
-                ("wall_clock_ms_1_thread".into(), Json::Num(campaign_1t)),
-                ("wall_clock_ms_2_threads".into(), Json::Num(campaign_2t)),
-            ]),
-        ),
     ]);
 
     std::fs::write(&out_path, report.render() + "\n").expect("write bench report");
@@ -221,5 +195,4 @@ fn main() {
     } {
         eprintln!("  {name}: {}", entry.render());
     }
-    eprintln!("  campaign 1 thread: {campaign_1t:.1} ms, 2 threads: {campaign_2t:.1} ms");
 }

@@ -18,10 +18,11 @@
 //! `--cache-in` warm-starts the evaluation cache from a snapshot written
 //! by a previous `--cache-out`; outcomes stay bit-identical to a cold run,
 //! only cheaper. `--cache-compact` additionally GCs the written snapshot:
-//! only entries the configured search space actually consulted survive,
-//! so a shrunken-but-equivalent snapshot replaces one bloated by old
-//! grids. `--store` ingests the campaign report into an artifact store
-//! that `fahana-query` can answer questions from.
+//! only entries the configured search space actually consulted survive
+//! (the cache flags every entry a lookup touches), so a
+//! shrunken-but-equivalent snapshot replaces one bloated by old grids.
+//! `--store` ingests the campaign report into an artifact store that
+//! `fahana-query` can answer questions from.
 //!
 //! `--shard I/N` runs this process as worker `I` of an `N`-way sharded
 //! campaign: only the grid cells the stable name-hash partition assigns
@@ -287,14 +288,7 @@ fn run(cli: Cli) -> Result<(), String> {
         );
     }
 
-    // compaction tracks which entries the run consults; that tracking is
-    // what lets the written snapshot drop everything the configured grid
-    // no longer reaches
-    let cache = Arc::new(if cli.cache_compact {
-        EvalCache::with_tracking()
-    } else {
-        EvalCache::new()
-    });
+    let cache = Arc::new(EvalCache::new());
     if let Some(path) = &cli.cache_in {
         let snapshot = CacheSnapshot::load(path)
             .map_err(|e| format!("cannot load {}: {e}", path.display()))?;
@@ -444,9 +438,7 @@ fn run(cli: Cli) -> Result<(), String> {
     }
     if let Some(path) = &cli.cache_out {
         let snapshot = if cli.cache_compact {
-            let compacted = cache
-                .snapshot_touched()
-                .expect("--cache-compact runs over a tracking cache");
+            let compacted = cache.snapshot_touched();
             let total = cache.len();
             eprintln!(
                 "compacted cache snapshot: kept {} of {} entries \

@@ -5,8 +5,8 @@
 //! heavily: two scenarios differing only in device profile or reward
 //! weights drive their controllers through *identical* decision streams
 //! (same master seed), so they request evaluations for identical child
-//! architectures. The cache memoises those requests behind an `RwLock`
-//! shared by every worker; a hit returns the stored
+//! architectures. The cache memoises those requests in one map behind an
+//! `RwLock` shared by every worker; a hit returns the stored
 //! [`FairnessEvaluation`], which is bit-identical to what re-evaluation
 //! would produce.
 //!
@@ -15,16 +15,15 @@
 //! the frozen-block count and the evaluator's configuration, so evaluators
 //! calibrated for different datasets never alias.
 //!
-//! Internally the map is split into a power-of-two number of independently
-//! locked shards selected by the key fingerprint, so workers hammering the
-//! cache from many threads rarely serialise on one lock. Sharding is an
-//! implementation detail: lookups, snapshots and statistics behave exactly
-//! as a single map would, and per-shard hit/miss/contention counters are
-//! exported for telemetry via [`EvalCache::shard_stats`].
+//! Every entry carries a touched flag, set by the lookup that inserted it
+//! and by every hit, and left unset on entries absorbed from a snapshot.
+//! Touch tracking is therefore always on (one relaxed store per hit), and
+//! snapshot compaction ([`EvalCache::snapshot_touched`](crate::snapshot))
+//! works on any cache.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, TryLockError};
+use std::collections::{hash_map, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use archspace::Architecture;
 use evaluator::{Evaluate, FairnessEvaluation, SurrogateEvaluator};
@@ -127,184 +126,59 @@ impl CacheStats {
     }
 }
 
-/// Counters and occupancy of one cache shard, for telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// Entries currently memoised in this shard.
-    pub entries: usize,
-    /// Lookups this shard answered from memory.
-    pub hits: u64,
-    /// Lookups this shard had to evaluate.
-    pub misses: u64,
-    /// Lock acquisitions that found the shard lock already held.
-    pub contended: u64,
+/// One memoised evaluation.
+#[derive(Debug)]
+struct Entry {
+    evaluation: FairnessEvaluation,
+    /// Set when a lookup consulted this entry (hit or fresh insert);
+    /// absorbed entries start unset. The set entries are the reachability
+    /// set snapshot compaction retains.
+    touched: AtomicBool,
 }
-
-/// One independently locked segment of the cache.
-#[derive(Debug, Default)]
-struct Shard {
-    entries: RwLock<HashMap<CacheKey, FairnessEvaluation>>,
-    /// Keys lookups touched in this shard; only locked when the owning
-    /// cache has tracking enabled, so the untracked hot path never takes
-    /// this mutex.
-    touched: Mutex<HashSet<CacheKey>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    contended: AtomicU64,
-}
-
-impl Shard {
-    /// Read-locks the entry map, counting the acquisition as contended if
-    /// the lock was not immediately available.
-    fn read_entries(
-        &self,
-    ) -> std::sync::RwLockReadGuard<'_, HashMap<CacheKey, FairnessEvaluation>> {
-        match self.entries.try_read() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                self.entries.read().expect("eval cache poisoned")
-            }
-            Err(TryLockError::Poisoned(_)) => panic!("eval cache poisoned"),
-        }
-    }
-
-    /// Write-locks the entry map, counting contention like
-    /// [`Shard::read_entries`].
-    fn write_entries(
-        &self,
-    ) -> std::sync::RwLockWriteGuard<'_, HashMap<CacheKey, FairnessEvaluation>> {
-        match self.entries.try_write() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                self.entries.write().expect("eval cache poisoned")
-            }
-            Err(TryLockError::Poisoned(_)) => panic!("eval cache poisoned"),
-        }
-    }
-}
-
-/// Default shard count: enough that a handful of pool workers rarely
-/// collide, small enough that snapshot export stays cheap.
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
 
 /// A thread-safe evaluation memo shared by many [`CachedEvaluator`]s.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EvalCache {
-    shards: Box<[Shard]>,
-    /// `shards.len() - 1`; shard count is always a power of two.
-    mask: usize,
+    entries: RwLock<HashMap<CacheKey, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Entries added by snapshot absorption (warm starts / shard merges) —
     /// kept separate from [`CacheStats`] because those counters are part
     /// of the serialized report schema and only describe live lookups.
     absorbed: AtomicU64,
-    /// When set, every key a lookup touched (hit or fresh insert) is
-    /// recorded per shard — the reachability set snapshot compaction
-    /// retains. Absorbed-but-never-consulted entries are deliberately
-    /// *not* recorded; they are exactly what compaction drops.
-    tracking: bool,
-}
-
-impl Default for EvalCache {
-    fn default() -> Self {
-        EvalCache::build(DEFAULT_CACHE_SHARDS, false)
-    }
 }
 
 impl EvalCache {
-    /// An empty cache with the default shard count.
+    /// An empty cache.
     pub fn new() -> Self {
         EvalCache::default()
     }
 
-    /// An empty cache with `shards` lock segments (rounded up to a power
-    /// of two, at least one).
-    pub fn with_shards(shards: usize) -> Self {
-        EvalCache::build(shards, false)
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<CacheKey, Entry>> {
+        self.entries.read().expect("eval cache poisoned")
     }
 
-    /// An empty cache that records which keys lookups touch, for
-    /// snapshot compaction
-    /// ([`EvalCache::snapshot_touched`](crate::snapshot)). Tracking costs
-    /// one mutex insert per lookup on the touched shard, so it is opt-in;
-    /// untracked caches never take the touch lock at all.
-    pub fn with_tracking() -> Self {
-        EvalCache::build(DEFAULT_CACHE_SHARDS, true)
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<CacheKey, Entry>> {
+        self.entries.write().expect("eval cache poisoned")
     }
 
-    /// An empty tracking cache with an explicit shard count.
-    pub fn with_shards_tracking(shards: usize) -> Self {
-        EvalCache::build(shards, true)
-    }
-
-    fn build(shards: usize, tracking: bool) -> Self {
-        let count = shards.max(1).next_power_of_two();
-        let shards: Box<[Shard]> = (0..count).map(|_| Shard::default()).collect();
-        EvalCache {
-            mask: count - 1,
-            shards,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            absorbed: AtomicU64::new(0),
-            tracking,
-        }
-    }
-
-    /// Whether this cache records touched keys.
-    pub fn is_tracking(&self) -> bool {
-        self.tracking
-    }
-
-    /// Number of lock segments the cache is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_for(&self, key: &CacheKey) -> &Shard {
-        // `hi` mixes every input byte through a rotating FNV stream, so its
-        // low bits are already well distributed across shards
-        &self.shards[(key.hi as usize) & self.mask]
-    }
-
-    fn record_touch(&self, shard: &Shard, key: CacheKey) {
-        if self.tracking {
-            shard
-                .touched
-                .lock()
-                .expect("touch set poisoned")
-                .insert(key);
-        }
-    }
-
-    /// Every touched entry (key + evaluation), or `None` without tracking.
-    pub(crate) fn touched_entries(&self) -> Option<Vec<(CacheKey, FairnessEvaluation)>> {
-        if !self.tracking {
-            return None;
-        }
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let touched = shard.touched.lock().expect("touch set poisoned");
-            let entries = shard.read_entries();
-            out.extend(touched.iter().filter_map(|key| {
-                entries
-                    .get(key)
-                    .map(|evaluation| (*key, evaluation.clone()))
-            }));
-        }
-        Some(out)
+    /// Every touched entry (key + evaluation), in no particular order.
+    pub(crate) fn touched_entries(&self) -> Vec<(CacheKey, FairnessEvaluation)> {
+        self.read()
+            .iter()
+            .filter(|(_, entry)| entry.touched.load(Ordering::Relaxed))
+            .map(|(key, entry)| (*key, entry.evaluation.clone()))
+            .collect()
     }
 
     /// Number of memoised evaluations.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read_entries().len()).sum()
+        self.read().len()
     }
 
     /// Whether the cache holds no evaluation yet.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read_entries().is_empty())
+        self.read().is_empty()
     }
 
     /// Aggregate hit/miss counters across every evaluator using this cache.
@@ -313,29 +187,6 @@ impl EvalCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Per-shard occupancy and counters, in shard order — the raw feed for
-    /// the campaign telemetry gauges.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|shard| ShardStats {
-                entries: shard.read_entries().len(),
-                hits: shard.hits.load(Ordering::Relaxed),
-                misses: shard.misses.load(Ordering::Relaxed),
-                contended: shard.contended.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Total lock acquisitions across all shards that found the shard lock
-    /// already held.
-    pub fn contended(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.contended.load(Ordering::Relaxed))
-            .sum()
     }
 
     /// Total entries added through snapshot absorption
@@ -350,70 +201,54 @@ impl EvalCache {
     }
 
     fn get(&self, key: &CacheKey) -> Option<FairnessEvaluation> {
-        let shard = self.shard_for(key);
-        let hit = shard.read_entries().get(key).cloned();
-        if hit.is_some() {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.record_touch(shard, *key);
-        }
-        hit
+        let entries = self.read();
+        let entry = entries.get(key)?;
+        entry.touched.store(true, Ordering::Relaxed);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(entry.evaluation.clone())
     }
 
-    /// Counts a miss against the global and per-shard counters. Callers
-    /// invoke this only after the inner evaluation *succeeded*, so the
-    /// serialized [`CacheStats`] keep meaning "lookups that evaluated".
-    fn note_miss(&self, key: &CacheKey) {
-        self.shard_for(key).misses.fetch_add(1, Ordering::Relaxed);
+    /// Counts a miss. Callers invoke this only after the inner evaluation
+    /// *succeeded*, so the serialized [`CacheStats`] keep meaning "lookups
+    /// that evaluated".
+    fn note_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     fn insert(&self, key: CacheKey, evaluation: FairnessEvaluation) {
-        let shard = self.shard_for(&key);
-        shard.write_entries().insert(key, evaluation);
-        self.record_touch(shard, key);
+        let entry = Entry {
+            evaluation,
+            touched: AtomicBool::new(true),
+        };
+        self.write().insert(key, entry);
     }
 
     /// Copies every entry out, for snapshotting (see [`crate::snapshot`]).
-    /// Order follows shard iteration and is not deterministic; snapshot
-    /// encoding sorts by key before serialising.
+    /// Order follows the map and is not deterministic; snapshot encoding
+    /// sorts by key before serialising.
     pub(crate) fn export_entries(&self) -> Vec<(CacheKey, FairnessEvaluation)> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let entries = shard.read_entries();
-            out.extend(
-                entries
-                    .iter()
-                    .map(|(key, evaluation)| (*key, evaluation.clone())),
-            );
-        }
-        out
+        self.read()
+            .iter()
+            .map(|(key, entry)| (*key, entry.evaluation.clone()))
+            .collect()
     }
 
     /// Inserts entries that are not already memoised (existing entries
-    /// win, so a warm-start can never change live results). Returns the
-    /// number of entries actually added.
+    /// win, so a warm-start can never change live results), untouched.
+    /// Returns the number of entries actually added.
     pub(crate) fn import_entries(
         &self,
         entries: impl IntoIterator<Item = (CacheKey, FairnessEvaluation)>,
     ) -> usize {
-        // bucket by shard first so each shard lock is taken at most once
-        let mut buckets: Vec<Vec<(CacheKey, FairnessEvaluation)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (key, evaluation) in entries {
-            buckets[(key.hi as usize) & self.mask].push((key, evaluation));
-        }
+        let mut map = self.write();
         let mut added = 0;
-        for (shard, bucket) in self.shards.iter().zip(buckets) {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut map = shard.write_entries();
-            for (key, evaluation) in bucket {
-                if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(key) {
-                    slot.insert(evaluation);
-                    added += 1;
-                }
+        for (key, evaluation) in entries {
+            if let hash_map::Entry::Vacant(slot) = map.entry(key) {
+                slot.insert(Entry {
+                    evaluation,
+                    touched: AtomicBool::new(false),
+                });
+                added += 1;
             }
         }
         added
@@ -493,7 +328,7 @@ impl<E: Evaluate> Evaluate for CachedEvaluator<E> {
             return Ok(hit);
         }
         let evaluation = self.inner.evaluate_with_frozen(arch, frozen_blocks)?;
-        self.cache.note_miss(&key);
+        self.cache.note_miss();
         self.local_misses.fetch_add(1, Ordering::Relaxed);
         self.cache.insert(key, evaluation.clone());
         Ok(evaluation)
@@ -588,19 +423,42 @@ mod tests {
     }
 
     #[test]
-    fn tracking_records_consulted_keys_only_when_enabled() {
-        assert!(!EvalCache::new().is_tracking());
-        assert!(EvalCache::new().touched_entries().is_none());
-
-        let cache = Arc::new(EvalCache::with_tracking());
-        assert!(cache.is_tracking());
+    fn default_cache_compacts_to_consulted_entries() {
+        let cache = Arc::new(EvalCache::new());
         let mut cached = CachedEvaluator::surrogate(SurrogateEvaluator::default(), cache.clone());
-        let arch = zoo::paper_fahana_small(5, 64);
-        cached.evaluate_with_frozen(&arch, 0).unwrap(); // miss: inserted → touched
-        cached.evaluate_with_frozen(&arch, 0).unwrap(); // hit: same key
-        let touched = cache.touched_entries().unwrap();
-        assert_eq!(touched.len(), 1);
-        assert_eq!(cache.len(), 1);
+        let mut plain = SurrogateEvaluator::default();
+        let [inserted, hit, stale] = [
+            zoo::paper_fahana_small(5, 64),
+            zoo::mobilenet_v2(5, 64),
+            zoo::paper_fahana_fair(5, 64),
+        ];
+        let key =
+            |arch: &Architecture| CacheKey::for_request(cached.evaluator_fingerprint, arch, 0);
+        let absorbed =
+            [&hit, &stale].map(|arch| (key(arch), plain.evaluate_with_frozen(arch, 0).unwrap()));
+        let (hit_key, inserted_key) = (key(&hit), key(&inserted));
+        assert_eq!(cache.import_entries(absorbed), 2);
+        assert!(
+            cache.touched_entries().is_empty(),
+            "absorbed entries start untouched"
+        );
+
+        cached.evaluate_with_frozen(&inserted, 0).unwrap(); // miss: inserted → touched
+        cached.evaluate_with_frozen(&hit, 0).unwrap(); // hit on an absorbed entry
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        let mut touched: Vec<CacheKey> = cache
+            .touched_entries()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        touched.sort_by_key(|k| (k.lo, k.hi));
+        let mut expected = vec![inserted_key, hit_key];
+        expected.sort_by_key(|k| (k.lo, k.hi));
+        assert_eq!(
+            touched, expected,
+            "the never-consulted absorbed entry is excluded"
+        );
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]
@@ -612,68 +470,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_round_up_to_powers_of_two() {
-        assert_eq!(EvalCache::new().shard_count(), DEFAULT_CACHE_SHARDS);
-        assert_eq!(EvalCache::with_shards(1).shard_count(), 1);
-        assert_eq!(EvalCache::with_shards(3).shard_count(), 4);
-        assert_eq!(EvalCache::with_shards(16).shard_count(), 16);
-        assert_eq!(EvalCache::with_shards(0).shard_count(), 1);
-    }
-
-    #[test]
-    fn shard_stats_sum_to_global_stats() {
-        let cache = Arc::new(EvalCache::with_shards(4));
-        let mut cached = CachedEvaluator::surrogate(SurrogateEvaluator::default(), cache.clone());
-        for (i, arch) in [
-            zoo::paper_fahana_small(5, 64),
-            zoo::paper_fahana_fair(5, 64),
-            zoo::mobilenet_v2(5, 64),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            cached.evaluate_with_frozen(&arch, 0).unwrap();
-            cached.evaluate_with_frozen(&arch, i).unwrap();
-        }
-        let shards = cache.shard_stats();
-        assert_eq!(shards.len(), 4);
-        let stats = cache.stats();
-        assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), stats.hits);
-        assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), stats.misses);
-        assert_eq!(shards.iter().map(|s| s.entries).sum::<usize>(), cache.len());
-    }
-
-    #[test]
-    fn single_shard_cache_behaves_like_the_sharded_default() {
-        let arch = zoo::paper_fahana_small(5, 64);
-        let one = Arc::new(EvalCache::with_shards(1));
-        let many = Arc::new(EvalCache::with_shards(32));
-        let mut a = CachedEvaluator::surrogate(SurrogateEvaluator::default(), one.clone());
-        let mut b = CachedEvaluator::surrogate(SurrogateEvaluator::default(), many.clone());
-        let from_one = a.evaluate_with_frozen(&arch, 0).unwrap();
-        let from_many = b.evaluate_with_frozen(&arch, 0).unwrap();
-        assert_eq!(from_one, from_many);
-        assert_eq!(one.stats(), many.stats());
-        assert_eq!(one.len(), many.len());
-    }
-
-    #[test]
-    fn tracking_cache_with_explicit_shards_records_touches() {
-        let cache = Arc::new(EvalCache::with_shards_tracking(8));
-        assert!(cache.is_tracking());
-        let mut cached = CachedEvaluator::surrogate(SurrogateEvaluator::default(), cache.clone());
-        cached
-            .evaluate_with_frozen(&zoo::paper_fahana_small(5, 64), 0)
-            .unwrap();
-        cached
-            .evaluate_with_frozen(&zoo::mobilenet_v2(5, 64), 0)
-            .unwrap();
-        assert_eq!(cache.touched_entries().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn concurrent_lookups_agree_across_shards() {
-        let cache = Arc::new(EvalCache::with_shards(4));
+    fn concurrent_lookups_agree() {
+        let cache = Arc::new(EvalCache::new());
         let archs: Vec<_> = (0..12)
             .map(|i| {
                 let mut a = zoo::paper_fahana_small(5, 64);

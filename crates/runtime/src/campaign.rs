@@ -328,41 +328,6 @@ impl CampaignEngine {
         metrics
             .gauge("fahana_cache_entries", "distinct evaluations memoised")
             .set(cache.len() as i64);
-        metrics
-            .counter(
-                "fahana_cache_lock_contended_total",
-                "cache shard lock acquisitions that had to wait",
-            )
-            .set(cache.contended());
-        metrics
-            .gauge("fahana_cache_shards", "cache lock segments")
-            .set(cache.shard_count() as i64);
-        // per-shard series are bounded: the shard count is a small fixed
-        // power of two chosen at cache construction
-        for (index, shard) in cache.shard_stats().into_iter().enumerate() {
-            let label = index.to_string();
-            metrics
-                .counter_with(
-                    "fahana_cache_shard_hits_total",
-                    "evaluation cache hits, by shard",
-                    &[("shard", label.as_str())],
-                )
-                .set(shard.hits);
-            metrics
-                .counter_with(
-                    "fahana_cache_shard_contended_total",
-                    "contended lock acquisitions, by shard",
-                    &[("shard", label.as_str())],
-                )
-                .set(shard.contended);
-            metrics
-                .gauge_with(
-                    "fahana_cache_shard_entries",
-                    "memoised evaluations, by shard",
-                    &[("shard", label.as_str())],
-                )
-                .set(shard.entries as i64);
-        }
 
         let pool = self.pool.stats();
         for (path, count) in [

@@ -69,7 +69,7 @@ pub mod snapshot;
 pub mod store;
 pub mod telemetry;
 
-pub use cache::{CacheStats, CachedEvaluator, EvalCache, ShardStats, DEFAULT_CACHE_SHARDS};
+pub use cache::{CacheStats, CachedEvaluator, EvalCache};
 pub use campaign::{CampaignEngine, CampaignOutcome, PooledBatchEvaluator, ScenarioOutcome};
 pub use fsutil::write_atomic;
 pub use plan::CampaignPlan;

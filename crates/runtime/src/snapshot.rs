@@ -332,23 +332,21 @@ impl EvalCache {
         )
     }
 
-    /// The compaction half of [`EvalCache::snapshot`]: only the entries a
-    /// tracking cache actually consulted (hit or freshly evaluated) since
-    /// construction — i.e. the entries the configured search space still
-    /// reaches. `None` when the cache was not built with
-    /// [`EvalCache::with_tracking`].
+    /// The compaction half of [`EvalCache::snapshot`]: only the entries
+    /// lookups actually consulted (hit or freshly evaluated) since the
+    /// cache was built — i.e. the entries the configured search space
+    /// still reaches. Entries absorbed from a snapshot and never consulted
+    /// are left out.
     ///
     /// The contract is *shrunken but equivalent*: warm-starting the same
     /// campaign from the touched-only snapshot serves every lookup
     /// (zero misses), exactly like the uncompacted snapshot would.
-    pub fn snapshot_touched(&self) -> Option<CacheSnapshot> {
-        self.touched_entries().map(|entries| {
-            CacheSnapshot::from_entries(
-                entries
-                    .into_iter()
-                    .map(|(key, evaluation)| ((key.lo, key.hi), evaluation)),
-            )
-        })
+    pub fn snapshot_touched(&self) -> CacheSnapshot {
+        CacheSnapshot::from_entries(
+            self.touched_entries()
+                .into_iter()
+                .map(|(key, evaluation)| ((key.lo, key.hi), evaluation)),
+        )
     }
 
     /// Seeds the cache from a snapshot. Entries already memoised win, so
@@ -588,27 +586,20 @@ mod tests {
     #[test]
     fn snapshot_touched_keeps_consulted_entries_and_drops_stale_ones() {
         // absorbed-but-never-consulted entries are what compaction drops
-        let cache = EvalCache::with_tracking();
+        let cache = EvalCache::new();
         let stale = CacheSnapshot::from_entries([((7, 7), sample_evaluation("stale", 0.5))]);
         assert_eq!(cache.absorb(&stale), 1);
-        assert_eq!(
-            cache.snapshot_touched().unwrap().len(),
-            0,
-            "nothing consulted yet"
-        );
+        assert_eq!(cache.snapshot_touched().len(), 0, "nothing consulted yet");
 
         let cache = Arc::new(cache);
         let mut cached = CachedEvaluator::surrogate(SurrogateEvaluator::default(), cache.clone());
         cached
             .evaluate_with_frozen(&zoo::paper_fahana_small(5, 64), 1)
             .unwrap();
-        let touched = cache.snapshot_touched().unwrap();
+        let touched = cache.snapshot_touched();
         assert_eq!(touched.len(), 1, "only the consulted entry is retained");
         assert_eq!(cache.snapshot().len(), 2, "the full snapshot keeps both");
         assert!(touched.entries().all(|(_, e)| e.architecture != "stale"));
-
-        // untracked caches cannot answer
-        assert!(EvalCache::new().snapshot_touched().is_none());
     }
 
     #[test]

@@ -352,19 +352,19 @@ fn compacted_snapshot_is_smaller_but_warm_starts_equivalently() {
         .unwrap();
     let bloated = wide_cache.snapshot();
 
-    // compact: absorb the bloated snapshot into a tracking cache, replay
-    // the narrowed grid, keep only what the replay consulted
-    let tracking = Arc::new(EvalCache::with_tracking());
-    assert_eq!(tracking.absorb(&bloated), bloated.len());
+    // compact: absorb the bloated snapshot into a fresh cache, replay the
+    // narrowed grid, keep only what the replay consulted
+    let replay = Arc::new(EvalCache::new());
+    assert_eq!(replay.absorb(&bloated), bloated.len());
     let compact_run = CampaignEngine::new(narrow.clone())
         .unwrap()
-        .run_with_cache(Arc::clone(&tracking))
+        .run_with_cache(Arc::clone(&replay))
         .unwrap();
     assert_eq!(
         compact_run.cache.misses, 0,
         "the narrowed grid replays a prefix of the wide run, so the replay is fully warm"
     );
-    let compacted = tracking.snapshot_touched().unwrap();
+    let compacted = replay.snapshot_touched();
     assert!(
         compacted.len() < bloated.len(),
         "compaction must shrink the snapshot ({} vs {})",
@@ -500,10 +500,6 @@ fn telemetry_is_a_side_channel_for_campaign_artifacts() {
         "fahana_cache_hits_total",
         "fahana_cache_misses_total",
         "fahana_cache_entries",
-        "fahana_cache_shards",
-        "fahana_cache_lock_contended_total",
-        "fahana_cache_shard_hits_total",
-        "fahana_cache_shard_entries",
         "fahana_pool_jobs_total",
         "fahana_pool_threads",
     ] {
@@ -514,32 +510,31 @@ fn telemetry_is_a_side_channel_for_campaign_artifacts() {
 }
 
 #[test]
-fn cache_shard_count_does_not_affect_results_or_snapshots() {
-    // sharding is an implementation detail of the cache: any shard count
-    // must produce bit-identical search histories and byte-identical
-    // snapshot encodings (the snapshot sorts by key, so shard iteration
-    // order never leaks into the bytes)
+fn cached_search_matches_uncached_and_snapshots_are_byte_identical() {
+    // the cache must not change the search, and two independent caches fed
+    // the same search must encode the same snapshot bytes: each map hashes
+    // with its own random state, so this pins that the encoding sorts by
+    // key and map iteration order never leaks into the file
     let uncached = FahanaSearch::new(search_config(25, 17))
         .unwrap()
         .run()
         .unwrap();
 
     let mut snapshots = Vec::new();
-    for shards in [1usize, 2, 64] {
-        let cache = Arc::new(EvalCache::with_shards(shards));
-        assert_eq!(cache.shard_count(), shards.next_power_of_two());
+    for _ in 0..2 {
+        let cache = Arc::new(EvalCache::new());
         let mut search = FahanaSearch::new(search_config(25, 17)).unwrap();
         let mut cached_eval = CachedEvaluator::surrogate(search.surrogate().clone(), cache.clone());
         let outcome = search.run_with_evaluator(&mut cached_eval).unwrap();
         assert_eq!(
             uncached.history, outcome.history,
-            "a {shards}-shard cache must not change the search"
+            "the cache must not change the search"
         );
         snapshots.push(cache.snapshot().to_bytes());
     }
-    assert!(
-        snapshots.windows(2).all(|w| w[0] == w[1]),
-        "snapshot bytes must be shard-count-invariant"
+    assert_eq!(
+        snapshots[0], snapshots[1],
+        "snapshot bytes must not depend on map order"
     );
 }
 

@@ -1,8 +1,5 @@
 //! Seeded random number generation and weight initialisation.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::tensor::Tensor;
 
 /// A deterministic random number generator used across the workspace.
@@ -10,6 +7,10 @@ use crate::tensor::Tensor;
 /// Every stochastic component in the reproduction (dataset synthesis, weight
 /// initialisation, controller sampling, surrogate noise) draws from a
 /// [`SeededRng`], so a fixed seed reproduces a full experiment bit-for-bit.
+///
+/// The stream is xoshiro256** seeded through SplitMix64. The committed
+/// goldens pin it, so neither the generator nor any sampler below may
+/// change what it draws.
 ///
 /// # Example
 ///
@@ -22,47 +23,99 @@ use crate::tensor::Tensor;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SeededRng {
-    inner: StdRng,
+    /// xoshiro256** state; never all zero.
+    state: [u64; 4],
+}
+
+/// One SplitMix64 step: advances `state` and returns the mixed output.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl SeededRng {
     /// Creates a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
-        SeededRng {
-            inner: StdRng::seed_from_u64(seed),
+        let mut sm = seed;
+        let mut state = [0u64; 4];
+        for slot in &mut state {
+            *slot = splitmix64(&mut sm);
         }
+        // xoshiro must not start from the all-zero state
+        if state == [0; 4] {
+            state = [0x9E37_79B9_7F4A_7C15, 1, 2, 3];
+        }
+        SeededRng { state }
+    }
+
+    /// The next 64 bits of the xoshiro256** stream.
+    pub(crate) fn next_u64(&mut self) -> u64 {
+        let [s0, s1, s2, s3] = self.state;
+        let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s1 << 17;
+        let mut s2 = s2 ^ s0;
+        let mut s3 = s3 ^ s1;
+        let s1 = s1 ^ s2;
+        let s0 = s0 ^ s3;
+        s2 ^= t;
+        s3 = s3.rotate_left(45);
+        self.state = [s0, s1, s2, s3];
+        result
+    }
+
+    /// Uniform in `[0, 1)` from the top 24 bits of one draw.
+    pub(crate) fn unit_f32(&mut self) -> f32 {
+        (self.next_u64() >> 40) as f32 / (1u64 << 24) as f32
+    }
+
+    /// Uniform in `[0, 1)` from the top 53 bits of one draw.
+    pub(crate) fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in `[lo, hi)`: `lo + unit * (hi - lo)`.
+    fn range_f32(&mut self, lo: f32, hi: f32) -> f32 {
+        assert!(lo < hi, "cannot sample empty range");
+        lo + self.unit_f32() * (hi - lo)
     }
 
     /// Uniform sample in `[lo, hi)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lo < hi` (or the two are within `f32::EPSILON`).
     pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
         if (hi - lo).abs() < f32::EPSILON {
             return lo;
         }
-        self.inner.gen_range(lo..hi)
+        self.range_f32(lo, hi)
     }
 
     /// Standard normal sample via Box–Muller.
     pub fn normal(&mut self, mean: f32, std: f32) -> f32 {
         // Box–Muller transform; u1 is kept away from 0 to avoid ln(0).
-        let u1: f32 = self.inner.gen_range(1e-7f32..1.0);
-        let u2: f32 = self.inner.gen_range(0.0f32..1.0);
+        let u1 = self.range_f32(1e-7, 1.0);
+        let u2 = self.range_f32(0.0, 1.0);
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos();
         mean + std * z
     }
 
-    /// Uniform integer in `[0, n)`.
+    /// Uniform integer in `[0, n)`, as `next % n`.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "below requires n > 0");
-        self.inner.gen_range(0..n)
+        (self.next_u64() % n as u64) as usize
     }
 
     /// Bernoulli sample with probability `p` of `true`.
     pub fn chance(&mut self, p: f64) -> bool {
-        self.inner.gen_bool(p.clamp(0.0, 1.0))
+        self.unit_f64() < p.clamp(0.0, 1.0)
     }
 
     /// Samples an index from an (unnormalised) non-negative weight vector.
@@ -93,7 +146,7 @@ impl SeededRng {
     /// Derives an independent generator for a sub-component, so parallel
     /// components do not share a stream.
     pub fn fork(&mut self, label: u64) -> SeededRng {
-        let seed = self.inner.gen::<u64>() ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let seed = self.next_u64() ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SeededRng::new(seed)
     }
 }
@@ -158,6 +211,27 @@ mod tests {
         let xs: Vec<f32> = (0..8).map(|_| a.uniform(0.0, 1.0)).collect();
         let ys: Vec<f32> = (0..8).map(|_| b.uniform(0.0, 1.0)).collect();
         assert_ne!(xs, ys);
+    }
+
+    #[test]
+    fn xoshiro_stream_is_pinned() {
+        let mut rng = SeededRng::new(42);
+        let draws: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            draws,
+            [
+                0x1578_0b2e_0c2e_c716,
+                0x6104_d986_6d11_3a7e,
+                0xae17_5332_39e4_99a1,
+                0xecb8_ad47_03b3_60a1
+            ]
+        );
+        // one draw per sampler, continuing one stream
+        let mut rng = SeededRng::new(7);
+        assert_eq!(rng.uniform(0.25, 0.75).to_bits(), 0x3f19_ac7d);
+        assert_eq!(rng.unit_f64().to_bits(), 0x3fd1_d70f_6593_d20a);
+        assert_eq!(rng.below(5), 3);
+        assert!(!rng.chance(0.3));
     }
 
     #[test]
