@@ -1,13 +1,12 @@
-//! Criterion bench: the campaign runtime — pooled batch evaluation vs the
-//! sequential stage, and whole scenario-grid throughput with the shared
-//! evaluation cache on vs off.
+//! Criterion bench: the campaign runtime — sequential batch evaluation,
+//! and whole scenario-grid throughput with the shared evaluation cache on
+//! vs off.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::sync::Arc;
 
 use evaluator::{EvalRequest, EvaluateBatch, SurrogateEvaluator};
-use fahana_runtime::{CampaignConfig, CampaignEngine, PooledBatchEvaluator, ThreadPool};
+use fahana_runtime::{CampaignConfig, CampaignEngine};
 
 fn batch_requests(count: usize) -> Vec<EvalRequest> {
     (0..count)
@@ -33,11 +32,6 @@ fn bench_runtime(c: &mut Criterion) {
     let requests = batch_requests(64);
     c.bench_function("runtime/batch64_sequential", |b| {
         let mut stage = SurrogateEvaluator::default();
-        b.iter(|| black_box(stage.evaluate_batch(black_box(&requests))))
-    });
-    c.bench_function("runtime/batch64_pooled_4_threads", |b| {
-        let pool = Arc::new(ThreadPool::new(4));
-        let mut stage = PooledBatchEvaluator::new(pool, SurrogateEvaluator::default());
         b.iter(|| black_box(stage.evaluate_batch(black_box(&requests))))
     });
 

@@ -47,12 +47,11 @@ pub const FFI_ALLOWLIST: &[&str] = &[
 /// contract), as is `join` (`Vec::join(", ")` would false-positive).
 pub const BLOCKING_CALLS: &[&str] = &["recv", "read_to_end", "read_to_string", "accept", "sleep"];
 
-/// Modules whose output is a rendered artifact (reports, snapshots,
-/// catalogs, HTTP bodies): iterating a `HashMap`/`HashSet` here risks
+/// Modules whose output is a rendered artifact (reports, catalogs,
+/// metrics renders, HTTP bodies): iterating a `HashMap`/`HashSet` here risks
 /// nondeterministic bytes, so `hash-iter` is error-severity.
 const RENDER_MODULES: &[&str] = &[
     "crates/runtime/src/report.rs",
-    "crates/runtime/src/snapshot.rs",
     "crates/runtime/src/store.rs",
     "crates/runtime/src/plan.rs",
     "crates/runtime/src/shard.rs",
@@ -178,5 +177,25 @@ mod tests {
             c.panic_severity("crates/runtime/src/pool.rs"),
             Severity::Warn
         );
+    }
+
+    #[test]
+    fn every_scoped_path_exists_in_the_workspace() {
+        // a deleted or moved module must not leave a stale entry that
+        // silently scopes nothing
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("crates/lint has a workspace root two levels up");
+        for path in RENDER_MODULES
+            .iter()
+            .chain(TIME_ALLOWED)
+            .chain(REQUEST_PATH)
+        {
+            assert!(
+                root.join(path).exists(),
+                "{path} is configured but missing from the workspace"
+            );
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! * `hash-iter` — `HashMap`/`HashSet` named in an artifact-rendering
 //!   module. Iteration order of the std hash containers is randomized
 //!   per process, so any module whose output bytes are compared across
-//!   runs (reports, snapshots, catalogs, HTTP bodies) must use
+//!   runs (reports, catalogs, HTTP bodies) must use
 //!   `BTreeMap`/`BTreeSet` or carry a waiver explaining why the
 //!   container is never iterated for output.
 //! * `wall-clock` — `Instant::now` / `SystemTime::now` outside the

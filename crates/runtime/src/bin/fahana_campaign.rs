@@ -4,9 +4,8 @@
 //! ```text
 //! fahana-campaign [--config FILE] [--out DIR] [--threads N]
 //!                 [--episodes N] [--seed N] [--no-cache]
-//!                 [--cache-in FILE] [--cache-out FILE] [--cache-compact]
 //!                 [--store DIR] [--store-id ID] [--shard I/N]
-//!                 [--cells FILE] [--canonical] [--parallel-episodes]
+//!                 [--cells FILE] [--canonical]
 //!                 [--trace-out FILE] [--metrics-out FILE]
 //!                 [--json] [--print-example]
 //! ```
@@ -15,19 +14,13 @@
 //! (Raspberry Pi 4, Odroid XU-4) × 2 reward settings (balanced,
 //! fairness-heavy) × freezing on/off = 8 scenarios.
 //!
-//! `--cache-in` warm-starts the evaluation cache from a snapshot written
-//! by a previous `--cache-out`; outcomes stay bit-identical to a cold run,
-//! only cheaper. `--cache-compact` additionally GCs the written snapshot:
-//! only entries the configured search space actually consulted survive
-//! (the cache flags every entry a lookup touches), so a
-//! shrunken-but-equivalent snapshot replaces one bloated by old grids.
 //! `--store` ingests the campaign report into an artifact store that
 //! `fahana-query` can answer questions from.
 //!
 //! `--shard I/N` runs this process as worker `I` of an `N`-way sharded
 //! campaign: only the grid cells the stable name-hash partition assigns
-//! to shard `I` execute, and the report/cache snapshot written are the
-//! partials the `fahana-shard` coordinator merges. `--cells FILE` is the
+//! to shard `I` execute, and the report written is the partial the
+//! `fahana-shard` coordinator merges. `--cells FILE` is the
 //! explicit-assignment worker mode behind fault-tolerant rescheduling:
 //! the file names the exact plan cells to run (one per line, `#`
 //! comments allowed), which is how a coordinator hands a dead shard's
@@ -43,11 +36,10 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use fahana_runtime::{
-    write_atomic, ArtifactStore, CacheSnapshot, CampaignConfig, CampaignEngine, CampaignPlan,
-    CampaignReport, CellAssignment, EvalCache, ShardAssignment, ShardSpec, Telemetry,
+    write_atomic, ArtifactStore, CampaignConfig, CampaignEngine, CampaignPlan, CampaignReport,
+    CellAssignment, ShardAssignment, ShardSpec, Telemetry,
 };
 
 struct Cli {
@@ -57,15 +49,11 @@ struct Cli {
     episodes: Option<usize>,
     seed: Option<u64>,
     no_cache: bool,
-    cache_in: Option<PathBuf>,
-    cache_out: Option<PathBuf>,
-    cache_compact: bool,
     store_dir: Option<PathBuf>,
     store_id: Option<String>,
     shard: Option<ShardSpec>,
     cells: Option<PathBuf>,
     canonical: bool,
-    parallel_episodes: bool,
     trace_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     json: bool,
@@ -74,10 +62,9 @@ struct Cli {
 
 fn usage() -> &'static str {
     "usage: fahana-campaign [--config FILE] [--out DIR] [--threads N] \
-     [--episodes N] [--seed N] [--no-cache] [--cache-in FILE] \
-     [--cache-out FILE] [--cache-compact] [--store DIR] [--store-id ID] \
-     [--shard I/N] [--cells FILE] [--canonical] [--parallel-episodes] \
-     [--trace-out FILE] [--metrics-out FILE] [--json] [--print-example]"
+     [--episodes N] [--seed N] [--no-cache] [--store DIR] [--store-id ID] \
+     [--shard I/N] [--cells FILE] [--canonical] [--trace-out FILE] \
+     [--metrics-out FILE] [--json] [--print-example]"
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -88,15 +75,11 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         episodes: None,
         seed: None,
         no_cache: false,
-        cache_in: None,
-        cache_out: None,
-        cache_compact: false,
         store_dir: None,
         store_id: None,
         shard: None,
         cells: None,
         canonical: false,
-        parallel_episodes: false,
         trace_out: None,
         metrics_out: None,
         json: false,
@@ -134,9 +117,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 )
             }
             "--no-cache" => cli.no_cache = true,
-            "--cache-in" => cli.cache_in = Some(PathBuf::from(value_of("--cache-in")?)),
-            "--cache-out" => cli.cache_out = Some(PathBuf::from(value_of("--cache-out")?)),
-            "--cache-compact" => cli.cache_compact = true,
             "--shard" => {
                 let value = value_of("--shard")?;
                 cli.shard =
@@ -161,7 +141,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                 }
                 cli.store_id = Some(value.to_string());
             }
-            "--parallel-episodes" => cli.parallel_episodes = true,
             "--trace-out" => cli.trace_out = Some(PathBuf::from(value_of("--trace-out")?)),
             "--metrics-out" => cli.metrics_out = Some(PathBuf::from(value_of("--metrics-out")?)),
             "--json" => cli.json = true,
@@ -266,39 +245,6 @@ fn run(cli: Cli) -> Result<(), String> {
     if cli.no_cache {
         config.use_cache = false;
     }
-    if cli.parallel_episodes {
-        config.parallel_episodes = true;
-    }
-    // check the *effective* setting: the cache can also be disabled by
-    // `cache = off` in the config file, and a snapshot absorbed into a
-    // disabled cache would silently never be consulted
-    if !config.use_cache && (cli.cache_in.is_some() || cli.cache_out.is_some()) {
-        return Err(
-            "the evaluation cache is disabled (--no-cache or `cache = off`), \
-             which conflicts with --cache-in/--cache-out"
-                .into(),
-        );
-    }
-    if cli.cache_compact && (cli.cache_in.is_none() || cli.cache_out.is_none()) {
-        return Err(
-            "--cache-compact garbage-collects a snapshot through a run, \
-             so it needs both --cache-in (what to compact) and --cache-out \
-             (where the compacted snapshot goes)"
-                .into(),
-        );
-    }
-
-    let cache = Arc::new(EvalCache::new());
-    if let Some(path) = &cli.cache_in {
-        let snapshot = CacheSnapshot::load(path)
-            .map_err(|e| format!("cannot load {}: {e}", path.display()))?;
-        let absorbed = cache.absorb(&snapshot);
-        eprintln!(
-            "warm start: absorbed {absorbed} of {} cached evaluations from {}",
-            snapshot.len(),
-            path.display()
-        );
-    }
 
     let fail_point = injected_fail_point(&cli);
     if matches!(fail_point, Some(FailPoint::Spawn)) {
@@ -347,7 +293,7 @@ fn run(cli: Cli) -> Result<(), String> {
     };
     let mut engine = CampaignEngine::new(plan.config().clone()).map_err(|e| e.to_string())?;
     // telemetry is a pure side channel: with or without it, every report
-    // and snapshot byte below is identical (pinned by tests/determinism.rs)
+    // byte below is identical (pinned by tests/determinism.rs)
     let telemetry = match &cli.trace_out {
         Some(path) => Telemetry::with_trace(path)
             .map_err(|e| format!("cannot create trace sink {}: {e}", path.display()))?,
@@ -355,7 +301,7 @@ fn run(cli: Cli) -> Result<(), String> {
     };
     engine.set_telemetry(telemetry);
     eprintln!(
-        "running {} scenarios on {} worker threads (cache {}, episode batching {})",
+        "running {} scenarios on {} worker threads (cache {})",
         scenarios.len(),
         engine.threads(),
         if engine.config().use_cache {
@@ -363,15 +309,8 @@ fn run(cli: Cli) -> Result<(), String> {
         } else {
             "off"
         },
-        if engine.config().parallel_episodes {
-            "pooled"
-        } else {
-            "inline"
-        },
     );
-    let outcome = engine
-        .run_scenarios(scenarios, Arc::clone(&cache))
-        .map_err(|e| e.to_string())?;
+    let outcome = engine.run_scenarios(scenarios).map_err(|e| e.to_string())?;
 
     eprintln!(
         "{:<40} {:>7} {:>7} {:>9} {:>9} {:>8}",
@@ -401,14 +340,6 @@ fn run(cli: Cli) -> Result<(), String> {
         outcome.cache.hits + outcome.cache.misses,
         outcome.cache_entries,
     );
-    eprintln!(
-        "cache: {} hits, {} misses ({:.1}% hit-rate), {} entries, {} absorbed from snapshots",
-        outcome.cache.hits,
-        outcome.cache.misses,
-        outcome.cache.hit_rate() * 100.0,
-        outcome.cache_entries,
-        cache.absorbed(),
-    );
 
     // one typed report is the source for every emission; --canonical
     // swaps in its deterministic projection (what sharded smoke jobs diff)
@@ -434,30 +365,6 @@ fn run(cli: Cli) -> Result<(), String> {
             "wrote campaign.json and {} scenario reports to {}",
             report.scenarios.len(),
             dir.display()
-        );
-    }
-    if let Some(path) = &cli.cache_out {
-        let snapshot = if cli.cache_compact {
-            let compacted = cache.snapshot_touched();
-            let total = cache.len();
-            eprintln!(
-                "compacted cache snapshot: kept {} of {} entries \
-                 (dropped {} unreachable from the configured grid)",
-                compacted.len(),
-                total,
-                total - compacted.len(),
-            );
-            compacted
-        } else {
-            cache.snapshot()
-        };
-        snapshot
-            .save(path)
-            .map_err(|e| format!("cannot save cache snapshot: {e}"))?;
-        eprintln!(
-            "persisted {} cached evaluations to {}",
-            snapshot.len(),
-            path.display()
         );
     }
     if let Some(dir) = &cli.store_dir {

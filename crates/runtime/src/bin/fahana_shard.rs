@@ -3,9 +3,9 @@
 //!
 //! ```text
 //! fahana-shard --shards N [--config FILE] [--out DIR] [--threads N]
-//!              [--episodes N] [--seed N] [--parallel-episodes]
-//!              [--max-attempts N] [--cache-out FILE] [--store DIR]
-//!              [--store-id ID] [--ingest-url HOST:PORT] [--canonical]
+//!              [--episodes N] [--seed N] [--max-attempts N]
+//!              [--store DIR] [--store-id ID]
+//!              [--ingest-url HOST:PORT] [--canonical]
 //!              [--json] [--keep-partials] [--worker-bin PATH]
 //!              [--trace-out FILE]
 //! ```
@@ -17,8 +17,7 @@
 //!    worker derives, so nothing but the config and an assignment crosses
 //!    the process boundary;
 //! 2. spawn `N` `fahana-campaign --shard I/N` workers, each writing a
-//!    partial report and cache snapshot into its own per-attempt
-//!    directory;
+//!    partial report into its own per-attempt directory;
 //! 3. recover: a worker that dies, or exits cleanly with a missing,
 //!    torn or wrong-cells report, is a *failed attempt* — it is retried
 //!    (fresh directory, up to `--max-attempts` attempts per task) while
@@ -28,13 +27,11 @@
 //!    survivors, respawned as explicit `--cells` assignments
 //!    ([`CellAssignment`]). Only when replacements fail too does the run
 //!    error — naming exactly the cells that never completed;
-//! 4. merge: each completed task's artifacts are merged exactly once —
-//!    cache snapshots union ([`CacheSnapshot::merge`]), reports fuse in
-//!    plan order ([`CampaignReport::merge`]);
-//! 5. publish: write the merged `campaign.json` (and `--cache-out`
-//!    snapshot), optionally ingest into an artifact store (`--store`) or
-//!    POST to a running `fahana-serve` (`--ingest-url`, reusing one
-//!    keep-alive connection).
+//! 4. merge: each completed task's report is merged exactly once, fused
+//!    in plan order ([`CampaignReport::merge`]);
+//! 5. publish: write the merged `campaign.json`, optionally ingest into
+//!    an artifact store (`--store`) or POST to a running `fahana-serve`
+//!    (`--ingest-url`, reusing one keep-alive connection).
 //!
 //! The merge is verification, not just bookkeeping: a worker's report
 //! must cover exactly its assigned cells, scenario overlaps or gaps
@@ -65,8 +62,8 @@ use std::time::Instant;
 
 use fahana_runtime::serve::client_roundtrip;
 use fahana_runtime::{
-    write_atomic, ArtifactStore, CacheSnapshot, CampaignConfig, CampaignPlan, CampaignReport,
-    CellAssignment, Json, Telemetry,
+    write_atomic, ArtifactStore, CampaignConfig, CampaignPlan, CampaignReport, CellAssignment,
+    Json, Telemetry,
 };
 
 struct Cli {
@@ -76,9 +73,7 @@ struct Cli {
     threads: Option<usize>,
     episodes: Option<usize>,
     seed: Option<u64>,
-    parallel_episodes: bool,
     max_attempts: usize,
-    cache_out: Option<PathBuf>,
     store_dir: Option<PathBuf>,
     store_id: Option<String>,
     ingest_url: Option<String>,
@@ -91,9 +86,9 @@ struct Cli {
 
 fn usage() -> &'static str {
     "usage: fahana-shard --shards N [--config FILE] [--out DIR] \
-     [--threads N] [--episodes N] [--seed N] [--parallel-episodes] \
-     [--max-attempts N] [--cache-out FILE] [--store DIR] [--store-id ID] \
-     [--ingest-url HOST:PORT] [--canonical] [--json] [--keep-partials] \
+     [--threads N] [--episodes N] [--seed N] [--max-attempts N] \
+     [--store DIR] [--store-id ID] [--ingest-url HOST:PORT] \
+     [--canonical] [--json] [--keep-partials] \
      [--worker-bin PATH] [--trace-out FILE]"
 }
 
@@ -105,9 +100,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         threads: None,
         episodes: None,
         seed: None,
-        parallel_episodes: false,
         max_attempts: 2,
-        cache_out: None,
         store_dir: None,
         store_id: None,
         ingest_url: None,
@@ -152,7 +145,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                         .map_err(|_| format!("--seed expects a number, got `{value}`"))?,
                 );
             }
-            "--parallel-episodes" => cli.parallel_episodes = true,
             "--max-attempts" => {
                 let value = value_of("--max-attempts")?;
                 cli.max_attempts = number("--max-attempts", value)?;
@@ -160,7 +152,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     return Err("--max-attempts must be at least 1".into());
                 }
             }
-            "--cache-out" => cli.cache_out = Some(PathBuf::from(value_of("--cache-out")?)),
             "--store" => cli.store_dir = Some(PathBuf::from(value_of("--store")?)),
             "--store-id" => {
                 // fail now, not after N worker campaigns have run — and the
@@ -289,11 +280,7 @@ impl Scheduler<'_> {
                 command.arg("--cells").arg(path);
             }
         }
-        command
-            .arg("--out")
-            .arg(&attempt_dir)
-            .arg("--cache-out")
-            .arg(attempt_dir.join("cache.fsnap"));
+        command.arg("--out").arg(&attempt_dir);
         if let Some(path) = &self.cli.config_path {
             command.arg("--config").arg(path);
         }
@@ -305,9 +292,6 @@ impl Scheduler<'_> {
         }
         if let Some(seed) = self.cli.seed {
             command.arg("--seed").arg(seed.to_string());
-        }
-        if self.cli.parallel_episodes {
-            command.arg("--parallel-episodes");
         }
         let mut child = command
             .stdout(Stdio::null())
@@ -330,12 +314,11 @@ impl Scheduler<'_> {
         })
     }
 
-    /// Validates and loads one finished attempt's artifacts. Any failure
+    /// Validates and loads one finished attempt's report. Any failure
     /// here — missing or unparsable report (a worker killed mid-write, or
-    /// one that lied about succeeding), wrong cell coverage, unreadable
-    /// snapshot — marks the *attempt* failed and retriable; it is never a
-    /// merge error.
-    fn collect(&self, task: &Task, dir: &Path) -> Result<(CampaignReport, CacheSnapshot), String> {
+    /// one that lied about succeeding), wrong cell coverage — marks the
+    /// *attempt* failed and retriable; it is never a merge error.
+    fn collect(&self, task: &Task, dir: &Path) -> Result<CampaignReport, String> {
         let report_path = dir.join("campaign.json");
         let text = std::fs::read_to_string(&report_path)
             .map_err(|e| format!("cannot read {}: {e}", report_path.display()))?;
@@ -356,10 +339,7 @@ impl Scheduler<'_> {
                 expected
             ));
         }
-        let snapshot_path = dir.join("cache.fsnap");
-        let snapshot = CacheSnapshot::load(&snapshot_path)
-            .map_err(|e| format!("cannot load {}: {e}", snapshot_path.display()))?;
-        Ok((report, snapshot))
+        Ok(report)
     }
 
     /// Runs `tasks` to completion: all attempts run in parallel, children
@@ -367,8 +347,8 @@ impl Scheduler<'_> {
     /// the moment it is reaped — its retry runs concurrently with the
     /// still-running siblings, so one slow shard never delays another
     /// shard's recovery — until it succeeds or exhausts `--max-attempts`.
-    /// Each task that succeeds has its artifacts merged exactly once,
-    /// right when its winning attempt is collected. Returns the tasks
+    /// Each task that succeeds has its report collected exactly once,
+    /// right when its winning attempt is reaped. Returns the tasks
     /// that never succeeded.
     ///
     /// `wave` names this scheduling round (`initial`, `rebalance`) in the
@@ -378,7 +358,6 @@ impl Scheduler<'_> {
         wave: &str,
         tasks: Vec<Task>,
         parts: &mut Vec<CampaignReport>,
-        merged_snapshot: &mut CacheSnapshot,
     ) -> Result<Vec<Task>, String> {
         // fahana-lint: allow(wall-clock) wave timing feeds the trace side channel; merged artifacts stay byte-identical
         let wave_started = Instant::now();
@@ -420,18 +399,7 @@ impl Scheduler<'_> {
                     Some(format!("exited with {}\n{}", status, stderr.trim_end()))
                 }
                 Ok(_) => match self.collect(&run.task, &run.dir) {
-                    Ok((report, snapshot)) => {
-                        let outcome = merged_snapshot.merge(&snapshot);
-                        if outcome.conflicts > 0 {
-                            // deterministic evaluation means identical
-                            // keys carry identical values; a conflict
-                            // is a fingerprint collision or build skew
-                            eprintln!(
-                                "warning: {} snapshot had {} conflicting entries \
-                                 (kept first sighting)",
-                                run.task.label, outcome.conflicts
-                            );
-                        }
+                    Ok(report) => {
                         parts.push(report);
                         None
                     }
@@ -533,15 +501,6 @@ fn run(cli: Cli) -> Result<(), String> {
     // retry verification and rebalancing schedule over); workers
     // re-derive the scenarios themselves
     let plan = CampaignPlan::new(config).map_err(|e| e.to_string())?;
-    if !plan.config().use_cache {
-        // workers are always asked for --cache-out, which a disabled cache
-        // cannot honor; fail here instead of N times in the workers
-        return Err(
-            "sharded runs need the evaluation cache (`cache = off` in the config \
-                    conflicts with merging per-shard snapshots)"
-                .into(),
-        );
-    }
     let worker_bin = worker_binary(&cli)?;
     // the trace sink is a side channel: merged artifacts are byte-identical
     // with or without it (pinned by tests/determinism.rs)
@@ -590,8 +549,7 @@ fn run(cli: Cli) -> Result<(), String> {
         cli.max_attempts,
     );
     let mut parts: Vec<CampaignReport> = Vec::with_capacity(cli.shards);
-    let mut merged_snapshot = CacheSnapshot::new();
-    let exhausted = scheduler.drive("initial", initial, &mut parts, &mut merged_snapshot)?;
+    let exhausted = scheduler.drive("initial", initial, &mut parts)?;
 
     if !exhausted.is_empty() {
         // every task that succeeded contributed exactly one part; its
@@ -642,8 +600,7 @@ fn run(cli: Cli) -> Result<(), String> {
                 attempts: 0,
             });
         }
-        let failed =
-            scheduler.drive("rebalance", replacements, &mut parts, &mut merged_snapshot)?;
+        let failed = scheduler.drive("rebalance", replacements, &mut parts)?;
         if !failed.is_empty() {
             let never: BTreeSet<&str> = failed
                 .iter()
@@ -665,9 +622,6 @@ fn run(cli: Cli) -> Result<(), String> {
 
     let mut merged =
         CampaignReport::merge(&parts, &order).map_err(|e| format!("merge failed: {e}"))?;
-    // the per-part sum double-counts entries shards evaluated in common;
-    // the merged snapshot knows the true distinct count
-    merged.cache_entries = merged_snapshot.len() as u64;
     if cli.canonical {
         merged = merged.canonical();
     }
@@ -693,17 +647,6 @@ fn run(cli: Cli) -> Result<(), String> {
             parts.len(),
             merged.scenarios.len(),
         ),
-    }
-
-    if let Some(path) = &cli.cache_out {
-        merged_snapshot
-            .save(path)
-            .map_err(|e| format!("cannot save merged cache snapshot: {e}"))?;
-        eprintln!(
-            "merged cache snapshot: {} entries to {}",
-            merged_snapshot.len(),
-            path.display()
-        );
     }
 
     let id = cli
@@ -782,9 +725,6 @@ fn apply_overrides(config: &mut CampaignConfig, cli: &Cli) {
     }
     if let Some(seed) = cli.seed {
         config.seed = seed;
-    }
-    if cli.parallel_episodes {
-        config.parallel_episodes = true;
     }
 }
 

@@ -15,14 +15,11 @@
 //! the frozen-block count and the evaluator's configuration, so evaluators
 //! calibrated for different datasets never alias.
 //!
-//! Every entry carries a touched flag, set by the lookup that inserted it
-//! and by every hit, and left unset on entries absorbed from a snapshot.
-//! Touch tracking is therefore always on (one relaxed store per hit), and
-//! snapshot compaction ([`EvalCache::snapshot_touched`](crate::snapshot))
-//! works on any cache.
+//! The cache lives for one campaign run: [`crate::CampaignEngine`] builds a
+//! fresh one per run and nothing persists it.
 
-use std::collections::{hash_map, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use archspace::Architecture;
@@ -73,9 +70,9 @@ impl Fingerprint {
 /// The cache key: evaluator fingerprint × architecture structure × frozen
 /// block count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct CacheKey {
-    pub(crate) lo: u64,
-    pub(crate) hi: u64,
+struct CacheKey {
+    lo: u64,
+    hi: u64,
 }
 
 impl CacheKey {
@@ -126,26 +123,12 @@ impl CacheStats {
     }
 }
 
-/// One memoised evaluation.
-#[derive(Debug)]
-struct Entry {
-    evaluation: FairnessEvaluation,
-    /// Set when a lookup consulted this entry (hit or fresh insert);
-    /// absorbed entries start unset. The set entries are the reachability
-    /// set snapshot compaction retains.
-    touched: AtomicBool,
-}
-
 /// A thread-safe evaluation memo shared by many [`CachedEvaluator`]s.
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    entries: RwLock<HashMap<CacheKey, Entry>>,
+    entries: RwLock<HashMap<CacheKey, FairnessEvaluation>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Entries added by snapshot absorption (warm starts / shard merges) —
-    /// kept separate from [`CacheStats`] because those counters are part
-    /// of the serialized report schema and only describe live lookups.
-    absorbed: AtomicU64,
 }
 
 impl EvalCache {
@@ -154,21 +137,12 @@ impl EvalCache {
         EvalCache::default()
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, HashMap<CacheKey, Entry>> {
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<CacheKey, FairnessEvaluation>> {
         self.entries.read().expect("eval cache poisoned")
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, HashMap<CacheKey, Entry>> {
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<CacheKey, FairnessEvaluation>> {
         self.entries.write().expect("eval cache poisoned")
-    }
-
-    /// Every touched entry (key + evaluation), in no particular order.
-    pub(crate) fn touched_entries(&self) -> Vec<(CacheKey, FairnessEvaluation)> {
-        self.read()
-            .iter()
-            .filter(|(_, entry)| entry.touched.load(Ordering::Relaxed))
-            .map(|(key, entry)| (*key, entry.evaluation.clone()))
-            .collect()
     }
 
     /// Number of memoised evaluations.
@@ -189,23 +163,10 @@ impl EvalCache {
         }
     }
 
-    /// Total entries added through snapshot absorption
-    /// ([`EvalCache::absorb`](crate::snapshot)) — how much of the cache
-    /// came from warm starts rather than this run's evaluations.
-    pub fn absorbed(&self) -> u64 {
-        self.absorbed.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn record_absorbed(&self, added: usize) {
-        self.absorbed.fetch_add(added as u64, Ordering::Relaxed);
-    }
-
     fn get(&self, key: &CacheKey) -> Option<FairnessEvaluation> {
-        let entries = self.read();
-        let entry = entries.get(key)?;
-        entry.touched.store(true, Ordering::Relaxed);
+        let evaluation = self.read().get(key)?.clone();
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(entry.evaluation.clone())
+        Some(evaluation)
     }
 
     /// Counts a miss. Callers invoke this only after the inner evaluation
@@ -216,42 +177,7 @@ impl EvalCache {
     }
 
     fn insert(&self, key: CacheKey, evaluation: FairnessEvaluation) {
-        let entry = Entry {
-            evaluation,
-            touched: AtomicBool::new(true),
-        };
-        self.write().insert(key, entry);
-    }
-
-    /// Copies every entry out, for snapshotting (see [`crate::snapshot`]).
-    /// Order follows the map and is not deterministic; snapshot encoding
-    /// sorts by key before serialising.
-    pub(crate) fn export_entries(&self) -> Vec<(CacheKey, FairnessEvaluation)> {
-        self.read()
-            .iter()
-            .map(|(key, entry)| (*key, entry.evaluation.clone()))
-            .collect()
-    }
-
-    /// Inserts entries that are not already memoised (existing entries
-    /// win, so a warm-start can never change live results), untouched.
-    /// Returns the number of entries actually added.
-    pub(crate) fn import_entries(
-        &self,
-        entries: impl IntoIterator<Item = (CacheKey, FairnessEvaluation)>,
-    ) -> usize {
-        let mut map = self.write();
-        let mut added = 0;
-        for (key, evaluation) in entries {
-            if let hash_map::Entry::Vacant(slot) = map.entry(key) {
-                slot.insert(Entry {
-                    evaluation,
-                    touched: AtomicBool::new(false),
-                });
-                added += 1;
-            }
-        }
-        added
+        self.write().insert(key, evaluation);
     }
 }
 
@@ -259,8 +185,7 @@ impl EvalCache {
 /// shared [`EvalCache`].
 ///
 /// Clones share the cache *and* this instance's local hit/miss counters,
-/// so a scenario that fans one logical evaluator out across pool workers
-/// still reports one coherent per-scenario hit-rate.
+/// so every clone reports into one per-scenario hit-rate.
 #[derive(Debug, Clone)]
 pub struct CachedEvaluator<E> {
     inner: E,
@@ -420,45 +345,6 @@ mod tests {
         cached.evaluate_with_frozen(&b, 0).unwrap();
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().hits, 0);
-    }
-
-    #[test]
-    fn default_cache_compacts_to_consulted_entries() {
-        let cache = Arc::new(EvalCache::new());
-        let mut cached = CachedEvaluator::surrogate(SurrogateEvaluator::default(), cache.clone());
-        let mut plain = SurrogateEvaluator::default();
-        let [inserted, hit, stale] = [
-            zoo::paper_fahana_small(5, 64),
-            zoo::mobilenet_v2(5, 64),
-            zoo::paper_fahana_fair(5, 64),
-        ];
-        let key =
-            |arch: &Architecture| CacheKey::for_request(cached.evaluator_fingerprint, arch, 0);
-        let absorbed =
-            [&hit, &stale].map(|arch| (key(arch), plain.evaluate_with_frozen(arch, 0).unwrap()));
-        let (hit_key, inserted_key) = (key(&hit), key(&inserted));
-        assert_eq!(cache.import_entries(absorbed), 2);
-        assert!(
-            cache.touched_entries().is_empty(),
-            "absorbed entries start untouched"
-        );
-
-        cached.evaluate_with_frozen(&inserted, 0).unwrap(); // miss: inserted → touched
-        cached.evaluate_with_frozen(&hit, 0).unwrap(); // hit on an absorbed entry
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        let mut touched: Vec<CacheKey> = cache
-            .touched_entries()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        touched.sort_by_key(|k| (k.lo, k.hi));
-        let mut expected = vec![inserted_key, hit_key];
-        expected.sort_by_key(|k| (k.lo, k.hi));
-        assert_eq!(
-            touched, expected,
-            "the never-consulted absorbed entry is excluded"
-        );
-        assert_eq!(cache.len(), 3);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use edgehw::{DeviceKind, DeviceProfile, SharedBlockLatencyTable};
-use evaluator::{EvalRequest, Evaluate, EvaluateBatch, FairnessEvaluation};
 use fahana::{FahanaSearch, SearchOutcome};
 
 use crate::cache::{CacheStats, CachedEvaluator, EvalCache};
@@ -14,51 +13,6 @@ use crate::report::Json;
 use crate::scenario::{CampaignConfig, Scenario};
 use crate::telemetry::Telemetry;
 use crate::{Result, RuntimeError};
-
-/// An [`EvaluateBatch`] stage that fans each batch out across a thread
-/// pool, preserving request order in its results.
-///
-/// Because the inner evaluator is cloned per request and every evaluator in
-/// this workspace is a deterministic function of its configuration, the
-/// results are bit-identical to sequential evaluation — only wall-clock
-/// changes.
-#[derive(Debug, Clone)]
-pub struct PooledBatchEvaluator<E> {
-    pool: Arc<ThreadPool>,
-    evaluator: E,
-}
-
-impl<E> PooledBatchEvaluator<E> {
-    /// Wraps `evaluator` so its batches run on `pool`.
-    pub fn new(pool: Arc<ThreadPool>, evaluator: E) -> Self {
-        PooledBatchEvaluator { pool, evaluator }
-    }
-
-    /// The wrapped evaluator.
-    pub fn evaluator(&self) -> &E {
-        &self.evaluator
-    }
-}
-
-impl<E> EvaluateBatch for PooledBatchEvaluator<E>
-where
-    E: Evaluate + Clone + Send + Sync + 'static,
-{
-    fn evaluate_batch(
-        &mut self,
-        requests: &[EvalRequest],
-    ) -> Vec<evaluator::Result<FairnessEvaluation>> {
-        if requests.len() <= 1 {
-            // nothing to fan out; skip the queueing overhead
-            return self.evaluator.evaluate_batch(requests);
-        }
-        let evaluator = self.evaluator.clone();
-        self.pool.map(requests.to_vec(), move |_, request| {
-            let mut worker = evaluator.clone();
-            worker.evaluate_with_frozen(&request.arch, request.frozen_blocks)
-        })
-    }
-}
 
 /// The result of one scenario's search.
 #[derive(Debug, Clone)]
@@ -109,7 +63,7 @@ pub struct CampaignOutcome {
 #[derive(Debug)]
 pub struct CampaignEngine {
     config: CampaignConfig,
-    pool: Arc<ThreadPool>,
+    pool: ThreadPool,
     telemetry: Telemetry,
 }
 
@@ -128,7 +82,7 @@ impl CampaignEngine {
         };
         Ok(CampaignEngine {
             config,
-            pool: Arc::new(pool),
+            pool,
             telemetry: Telemetry::disabled(),
         })
     }
@@ -165,63 +119,15 @@ impl CampaignEngine {
     /// configuration-level inconsistencies, so one failure means the grid
     /// itself is bad).
     pub fn run(&self) -> Result<CampaignOutcome> {
-        self.run_with_cache(Arc::new(EvalCache::new()))
+        self.run_scenarios(self.config.expand())
     }
 
-    /// Like [`CampaignEngine::run`], but over a caller-provided cache —
-    /// the warm-start entry point: seed the cache from a persisted
-    /// [`crate::CacheSnapshot`] via [`EvalCache::absorb`] first, and every
-    /// evaluation already memoised is served instead of recomputed. The
-    /// outcome's hit/miss statistics reflect this run only (absorbing does
-    /// not touch the counters), and because cached results are
-    /// bit-identical to fresh evaluations, a warm-started campaign
-    /// produces exactly the outcomes a cold one would.
-    ///
-    /// # Errors
-    ///
-    /// As [`CampaignEngine::run`].
-    pub fn run_with_cache(&self, cache: Arc<EvalCache>) -> Result<CampaignOutcome> {
-        self.run_scenarios(self.config.expand(), cache)
-    }
-
-    /// Runs one shard's slice of the grid — the worker half of sharded
-    /// execution: the scenarios that [`crate::shard::shard_of`] assigns to
-    /// `shard` run here exactly as they would inside a whole-grid run,
-    /// and everything else is skipped.
-    ///
-    /// # Errors
-    ///
-    /// As [`CampaignEngine::run`].
-    pub fn run_shard(
-        &self,
-        shard: crate::ShardSpec,
-        cache: Arc<EvalCache>,
-    ) -> Result<CampaignOutcome> {
-        let plan = crate::CampaignPlan::new(self.config.clone())?;
-        self.run_scenarios(plan.slice(shard), cache)
-    }
-
-    /// Runs an explicit cell set — the rescheduling counterpart of
-    /// [`CampaignEngine::run_shard`]: a fault-tolerant coordinator hands a
-    /// replacement worker exactly the cells a dead shard never finished
-    /// (`fahana-campaign --cells FILE`), and because every cell is a pure
-    /// function of (scenario, campaign settings), the outcomes are
-    /// bit-identical to the ones the original shard would have produced.
-    ///
-    /// # Errors
-    ///
-    /// As [`CampaignEngine::run`], plus [`RuntimeError::InvalidConfig`]
-    /// when a name is not a plan cell or repeats
-    /// ([`crate::CampaignPlan::subset`]).
-    pub fn run_cells(&self, cells: &[String], cache: Arc<EvalCache>) -> Result<CampaignOutcome> {
-        let plan = crate::CampaignPlan::new(self.config.clone())?;
-        self.run_scenarios(plan.subset(cells)?, cache)
-    }
-
-    /// Runs an explicit scenario list (a plan slice) over a caller-provided
-    /// cache. This is the execution core behind [`CampaignEngine::run`],
-    /// [`CampaignEngine::run_with_cache`] and [`CampaignEngine::run_shard`]:
-    /// each scenario's search is a pure function of (scenario, campaign
+    /// Runs an explicit scenario list — a plan slice
+    /// ([`crate::CampaignPlan::slice`]) or explicit cell set
+    /// ([`crate::CampaignPlan::subset`]) — over a fresh evaluation cache.
+    /// This is the execution core behind [`CampaignEngine::run`] and the
+    /// sharded worker modes (`fahana-campaign --shard` / `--cells`): each
+    /// scenario's search is a pure function of (scenario, campaign
     /// settings), so running a slice produces bit-identical per-scenario
     /// outcomes to running the whole grid.
     ///
@@ -231,11 +137,8 @@ impl CampaignEngine {
     /// # Errors
     ///
     /// As [`CampaignEngine::run`].
-    pub fn run_scenarios(
-        &self,
-        scenarios: Vec<Scenario>,
-        cache: Arc<EvalCache>,
-    ) -> Result<CampaignOutcome> {
+    pub fn run_scenarios(&self, scenarios: Vec<Scenario>) -> Result<CampaignOutcome> {
+        let cache = Arc::new(EvalCache::new());
         if scenarios.is_empty() {
             // still flush, so --metrics-out carries the full catalog even
             // for a shard that owns no cells
@@ -266,7 +169,6 @@ impl CampaignEngine {
         // fahana-lint: allow(wall-clock) wall_clock_ms is scheduling-dependent telemetry; canonical() zeroes it before artifact comparison
         let started = Instant::now();
         let campaign_config = self.config.clone();
-        let pool = Arc::clone(&self.pool);
         let shared_cache = Arc::clone(&cache);
         let telemetry = self.telemetry.clone();
         let results: Vec<Result<ScenarioOutcome>> = self.pool.map(
@@ -287,7 +189,6 @@ impl CampaignEngine {
                     &campaign_config,
                     Arc::clone(&dataset),
                     Arc::clone(&shared_cache),
-                    Arc::clone(&pool),
                 );
                 if let Ok(outcome) = &result {
                     record_scenario(&telemetry, outcome, queue_wait);
@@ -319,12 +220,6 @@ impl CampaignEngine {
         metrics
             .counter("fahana_cache_misses_total", "evaluation cache misses")
             .set(stats.misses);
-        metrics
-            .counter(
-                "fahana_cache_absorbed_total",
-                "cache entries absorbed from snapshots (warm starts)",
-            )
-            .set(cache.absorbed());
         metrics
             .gauge("fahana_cache_entries", "distinct evaluations memoised")
             .set(cache.len() as i64);
@@ -414,14 +309,14 @@ fn record_scenario(telemetry: &Telemetry, outcome: &ScenarioOutcome, queue_wait:
 }
 
 /// Runs one grid cell: builds the search, wires the shared latency table,
-/// picks the evaluation stage (cached? pooled?) and executes it.
+/// wraps the surrogate in the shared cache (unless disabled) and executes
+/// it.
 fn run_scenario(
     scenario: Scenario,
     table: SharedBlockLatencyTable,
     campaign: &CampaignConfig,
     dataset: Arc<dermsim::Dataset>,
     cache: Arc<EvalCache>,
-    pool: Arc<ThreadPool>,
 ) -> Result<ScenarioOutcome> {
     // fahana-lint: allow(wall-clock) scenario wall_clock_ms is telemetry; canonical() zeroes it before artifact comparison
     let started = Instant::now();
@@ -433,15 +328,18 @@ fn run_scenario(
     let search_config = scenario.to_fahana_config(campaign);
     let mut search = FahanaSearch::with_dataset(search_config, &dataset).map_err(scenario_error)?;
     search.set_latency_table(table).map_err(scenario_error)?;
-    let surrogate = search.surrogate().clone();
+    let mut surrogate = search.surrogate().clone();
 
     let (outcome, cache_stats) = if campaign.use_cache {
-        let cached = CachedEvaluator::surrogate(surrogate, cache);
-        let outcome =
-            run_search(&mut search, cached.clone(), campaign, pool).map_err(scenario_error)?;
+        let mut cached = CachedEvaluator::surrogate(surrogate, cache);
+        let outcome = search
+            .run_with_evaluator(&mut cached)
+            .map_err(scenario_error)?;
         (outcome, cached.local_stats())
     } else {
-        let outcome = run_search(&mut search, surrogate, campaign, pool).map_err(scenario_error)?;
+        let outcome = search
+            .run_with_evaluator(&mut surrogate)
+            .map_err(scenario_error)?;
         (outcome, CacheStats::default())
     };
 
@@ -453,31 +351,10 @@ fn run_scenario(
     })
 }
 
-/// Dispatches on episode batching: sequential evaluation inside the
-/// scenario's worker, or nested fan-out on the shared pool.
-fn run_search<E>(
-    search: &mut FahanaSearch,
-    evaluator: E,
-    campaign: &CampaignConfig,
-    pool: Arc<ThreadPool>,
-) -> fahana::Result<SearchOutcome>
-where
-    E: Evaluate + Clone + Send + Sync + 'static,
-{
-    if campaign.parallel_episodes {
-        let mut stage = PooledBatchEvaluator::new(pool, evaluator);
-        search.run_with_batch_evaluator(&mut stage)
-    } else {
-        let mut stage = evaluator;
-        search.run_with_evaluator(&mut stage)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::RewardSetting;
-    use evaluator::SurrogateEvaluator;
     use fahana::FahanaConfig;
 
     fn tiny_campaign() -> CampaignConfig {
@@ -487,29 +364,6 @@ mod tests {
             threads: 2,
             ..CampaignConfig::default()
         }
-    }
-
-    #[test]
-    fn pooled_batch_evaluator_matches_sequential_results() {
-        let pool = Arc::new(ThreadPool::new(3));
-        let archs = [
-            archspace::zoo::paper_fahana_small(5, 64),
-            archspace::zoo::mobilenet_v2(5, 64),
-            archspace::zoo::paper_fahana_fair(5, 64),
-        ];
-        let requests: Vec<EvalRequest> = archs
-            .iter()
-            .map(|a| EvalRequest::new(a.clone(), 1))
-            .collect();
-        let mut pooled = PooledBatchEvaluator::new(pool, SurrogateEvaluator::default());
-        let parallel = pooled.evaluate_batch(&requests);
-        let mut sequential_eval = SurrogateEvaluator::default();
-        let sequential = sequential_eval.evaluate_batch(&requests);
-        assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(sequential.iter()) {
-            assert_eq!(p.as_ref().unwrap(), s.as_ref().unwrap());
-        }
-        assert_eq!(pooled.evaluator().config().seed, 2022);
     }
 
     #[test]

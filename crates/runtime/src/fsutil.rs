@@ -1,8 +1,8 @@
 //! Crash-safe filesystem helpers shared by the binaries and the
 //! persistence layers.
 //!
-//! Every durable artifact in this workspace — campaign reports, cache
-//! snapshots, store catalogs — must never be observable half-written: a
+//! Every durable artifact in this workspace — campaign reports, scenario
+//! reports, store catalogs — must never be observable half-written: a
 //! worker killed mid-write would otherwise leave a torn file that a
 //! retrying coordinator parses (or mis-diagnoses as corruption) on its
 //! next pass. [`write_atomic`] is the one implementation of the staging

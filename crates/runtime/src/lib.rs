@@ -7,12 +7,13 @@
 //! of [`fahana`] into a campaign system:
 //!
 //! * [`pool`] — a std-only work-stealing thread pool with a helping
-//!   `map`, safe for nested parallelism (scenario-level fan-out *and*
-//!   episode-batch fan-out share one pool without deadlocking);
+//!   `map`, safe for nested parallelism (a pool job may fan out on the
+//!   same pool without deadlocking);
 //! * [`cache`] — an architecture-fingerprint-keyed evaluation cache behind
-//!   an `RwLock`, memoising [`evaluator::SurrogateEvaluator`] results so
-//!   scenarios that re-visit the same child architecture (same controller
-//!   seed, different device/reward) never re-evaluate it;
+//!   an `RwLock`, memoising [`evaluator::SurrogateEvaluator`] results for
+//!   one campaign run so scenarios that re-visit the same child
+//!   architecture (same controller seed, different device/reward) never
+//!   re-evaluate it;
 //! * [`scenario`] — the declarative scenario grid (device × reward ×
 //!   freezing) and the campaign config-file parser;
 //! * [`campaign`] — the engine that expands a grid and runs every scenario
@@ -25,8 +26,8 @@
 //!   `fahana-campaign --cells`) — so independent worker processes
 //!   (fanned out by the `fahana-shard` coordinator, which retries failed
 //!   workers and rebalances their unfinished cells) jointly cover the
-//!   grid exactly once and their partial reports and cache snapshots
-//!   merge back bit-identically to a single-process run;
+//!   grid exactly once and their partial reports merge back
+//!   bit-identically to a single-process run;
 //! * [`fsutil`] — crash-safe staging writes ([`write_atomic`]) shared by
 //!   every artifact emitter, so a worker killed mid-write never leaves a
 //!   torn report for a retrying coordinator to trip over;
@@ -34,9 +35,6 @@
 //!   frontier, wall-clock, cache hit-rate) for each scenario and the
 //!   campaign as a whole, with a parser and typed schema structs so
 //!   reports round-trip;
-//! * [`snapshot`] — a versioned, checksummed on-disk format for the
-//!   evaluation cache, so campaigns warm-start from prior runs
-//!   (`fahana-campaign --cache-in/--cache-out`);
 //! * [`store`] — the campaign artifact store: ingested reports indexed by
 //!   device × reward × freezing, answering "best architecture for device
 //!   X under constraint Y" queries (the `fahana-query` binary) with
@@ -52,8 +50,8 @@
 //!   guaranteed never to change any artifact byte.
 //!
 //! Determinism is a hard guarantee: a scenario's [`fahana::SearchOutcome`]
-//! is bit-identical whether it runs serially, through the pool, with the
-//! cache enabled or disabled, cold or warm-started from a snapshot (see
+//! is bit-identical whether it runs serially or through the pool, with the
+//! cache enabled or disabled, whole or as shards (see
 //! `tests/determinism.rs`).
 
 pub mod cache;
@@ -65,12 +63,11 @@ pub mod report;
 pub mod scenario;
 pub mod serve;
 pub mod shard;
-pub mod snapshot;
 pub mod store;
 pub mod telemetry;
 
 pub use cache::{CacheStats, CachedEvaluator, EvalCache};
-pub use campaign::{CampaignEngine, CampaignOutcome, PooledBatchEvaluator, ScenarioOutcome};
+pub use campaign::{CampaignEngine, CampaignOutcome, ScenarioOutcome};
 pub use fsutil::write_atomic;
 pub use plan::CampaignPlan;
 pub use pool::{PoolMonitor, PoolStats, ThreadPool};
@@ -81,7 +78,6 @@ pub use report::{
 pub use scenario::{CampaignConfig, RewardSetting, Scenario};
 pub use serve::{ResponseCache, ServeOptions, Server, ServerHandle, StoreView};
 pub use shard::{shard_of, CellAssignment, ShardAssignment, ShardSpec};
-pub use snapshot::{CacheSnapshot, MergeOutcome, SnapshotError};
 pub use store::{
     answer_query, catalog_json, leaderboard, ArtifactStore, Candidate, Leaderboard, QueryAnswer,
     StoreError, StoreQuery, StoredCampaign,

@@ -11,8 +11,7 @@
 //! 3. **execute** — each worker runs only its slice
 //!    ([`crate::CampaignEngine::run_scenarios`]);
 //! 4. **merge** — partial reports fuse back into one campaign report in
-//!    plan order ([`crate::CampaignReport::merge`]) and partial cache
-//!    snapshots union ([`crate::CacheSnapshot::merge`]).
+//!    plan order ([`crate::CampaignReport::merge`]).
 //!
 //! Because every worker derives the same plan from the same config, and
 //! the partition hashes names rather than positions, a coordinator and

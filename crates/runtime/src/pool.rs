@@ -4,9 +4,9 @@
 //!
 //! 1. **No external dependencies** — the build environment has no registry
 //!    access, so no rayon/crossbeam. Everything here is `std`.
-//! 2. **Nested parallelism must not deadlock.** A campaign fans scenarios
-//!    out on the pool, and each scenario may fan its episode batches out on
-//!    the *same* pool. [`ThreadPool::map`] therefore never blocks idly: the
+//! 2. **Nested parallelism must not deadlock.** A job running on the pool
+//!    may itself call `map` on the *same* pool (a nested fan-out).
+//!    [`ThreadPool::map`] therefore never blocks idly: the
 //!    calling thread joins the workforce and executes queued jobs (its own
 //!    or anyone else's) until its batch completes.
 //! 3. **Deterministic results.** Jobs write into index-addressed slots, so

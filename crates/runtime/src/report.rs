@@ -786,9 +786,7 @@ impl CampaignReport {
     /// recomputed: `threads` and `wall_clock_ms` take the maximum across
     /// parts (shards run concurrently), cache hits/misses sum, and
     /// `cache_entries` sums — an upper bound on distinct entries, since
-    /// shards may have evaluated the same architecture independently;
-    /// coordinators that merge the actual snapshots should overwrite it
-    /// with the merged snapshot's length.
+    /// shards may have evaluated the same architecture independently.
     ///
     /// # Errors
     ///

@@ -120,8 +120,6 @@ pub struct CampaignConfig {
     pub threads: usize,
     /// Whether scenarios share the evaluation cache.
     pub use_cache: bool,
-    /// Whether each search also fans its episode batches out on the pool.
-    pub parallel_episodes: bool,
     /// Device axis.
     pub devices: Vec<DeviceKind>,
     /// Reward axis.
@@ -140,7 +138,6 @@ impl Default for CampaignConfig {
             image_size: 8,
             threads: 0,
             use_cache: true,
-            parallel_episodes: false,
             devices: vec![DeviceKind::RaspberryPi4, DeviceKind::OdroidXu4],
             rewards: vec![RewardSetting::balanced(), RewardSetting::fairness_heavy()],
             freezing: vec![true, false],
@@ -337,9 +334,6 @@ impl CampaignConfig {
                 "image_size" => config.image_size = parse_number(key, value).map_err(&fail)?,
                 "threads" => config.threads = parse_number(key, value).map_err(&fail)?,
                 "cache" => config.use_cache = parse_bool(key, value).map_err(&fail)?,
-                "parallel_episodes" => {
-                    config.parallel_episodes = parse_bool(key, value).map_err(&fail)?
-                }
                 "devices" => {
                     config.devices = value
                         .split(',')
@@ -384,7 +378,6 @@ image_size = 8
 # 0 sizes the pool to the machine
 threads = 0
 cache = on
-parallel_episodes = off
 
 devices = raspberry_pi_4, odroid_xu4
 freezing = on, off

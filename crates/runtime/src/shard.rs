@@ -2,8 +2,8 @@
 //! and explicit cell-set assignments.
 //!
 //! A campaign grid is embarrassingly parallel: every cell is an
-//! independent search, and cache snapshots ([`crate::CacheSnapshot`]) and
-//! campaign reports ([`crate::CampaignReport`]) both merge. This module
+//! independent search, and campaign reports ([`crate::CampaignReport`])
+//! merge. This module
 //! supplies the partitioning half of the plan → partition → execute →
 //! merge pipeline, in two forms unified by [`ShardAssignment`]:
 //!
@@ -204,14 +204,23 @@ impl std::fmt::Display for ShardAssignment {
 
 /// The shard (0-based, `< total`) that owns a scenario name.
 ///
-/// Stable FNV-1a over the name's bytes (the same
-/// [`fnv1a`](crate::snapshot) the snapshot checksum uses — frozen by
-/// contract, and the assignment itself is pinned by literal values in
-/// this module's tests): the same name always lands on the same shard,
-/// on every platform and in every release.
+/// Stable FNV-1a (`fnv1a`) over the name's bytes (the assignment is pinned by
+/// literal values in this module's tests): the same name always lands on
+/// the same shard, on every platform and in every release.
 pub fn shard_of(scenario_name: &str, total: usize) -> usize {
     debug_assert!(total > 0, "shard_of needs a positive shard count");
-    (crate::snapshot::fnv1a(scenario_name.as_bytes()) % total as u64) as usize
+    (fnv1a(scenario_name.as_bytes()) % total as u64) as usize
+}
+
+/// Plain 64-bit FNV-1a. Its output is a durable contract (the
+/// worker↔coordinator cell assignment of [`shard_of`]), so it must never
+/// change.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in bytes {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //!
 //! The subsystem is std-only and strictly a *side channel*: with or
 //! without telemetry attached, every artifact the runtime produces —
-//! campaign reports, cache snapshots, merged shard outputs — is
+//! campaign reports, scenario reports, merged shard outputs — is
 //! byte-identical. The determinism tests pin this. Instrumented layers:
 //!
 //! | layer            | what gets recorded                                            |

@@ -19,7 +19,7 @@
 //! parses.
 //!
 //! Tracing is a side channel by contract: nothing in a trace sink may
-//! influence report artifacts, cache snapshots, or merge gates. The
+//! influence report artifacts, store contents, or merge gates. The
 //! determinism suite pins that (`--trace-out` on vs. off produces
 //! byte-identical campaign artifacts).
 

@@ -1,6 +1,6 @@
 //! End-to-end tests for the `fahana-shard` coordinator: real worker
-//! processes spawned over a real config, partial reports and cache
-//! snapshots merged, the result published into an artifact store and into
+//! processes spawned over a real config, partial reports merged, the
+//! result published into an artifact store and into
 //! a live `fahana-serve` daemon — and the merged artifacts compared
 //! byte-for-byte against a single-process run (what the CI sharded smoke
 //! job re-checks with `diff`).
@@ -30,12 +30,20 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// one each; shard 2's cell is `raspberry_pi_4/balanced/frozen` (pinned
 /// in `shard.rs`), which the crash-injection tests rely on.
 fn write_config(dir: &Path) -> PathBuf {
+    write_config_with(dir, "")
+}
+
+/// [`write_config`]'s grid with `extra` keys appended to the global
+/// section.
+fn write_config_with(dir: &Path, extra: &str) -> PathBuf {
     let path = dir.join("campaign.conf");
     std::fs::write(
         &path,
-        "episodes = 4\nsamples = 120\nthreads = 2\nseed = 91\n\
-         devices = raspberry_pi_4, odroid_xu4\nfreezing = on, off\n\
-         [reward balanced]\nalpha = 1.0\nbeta = 1.0\n",
+        format!(
+            "episodes = 4\nsamples = 120\nthreads = 2\nseed = 91\n{extra}\
+             devices = raspberry_pi_4, odroid_xu4\nfreezing = on, off\n\
+             [reward balanced]\nalpha = 1.0\nbeta = 1.0\n"
+        ),
     )
     .unwrap();
     path
@@ -81,36 +89,23 @@ fn run_ok(binary: &str, args: &[&str], cwd: &Path) -> (String, String) {
     run_ok_with_env(binary, args, cwd, &[])
 }
 
-/// Runs the single-process reference (canonical report + snapshot) the
-/// recovered coordinator runs are diffed against.
+/// Runs the single-process reference (canonical report) the recovered
+/// coordinator runs are diffed against.
 fn run_reference(dir: &Path, config: &str) {
     run_ok(
         env!("CARGO_BIN_EXE_fahana-campaign"),
-        &[
-            "--config",
-            config,
-            "--canonical",
-            "--out",
-            "single",
-            "--cache-out",
-            "single.fsnap",
-        ],
+        &["--config", config, "--canonical", "--out", "single"],
         dir,
     );
 }
 
-/// Asserts the coordinator's merged artifacts in `dir` are byte-identical
-/// to the single-process reference from [`run_reference`].
+/// Asserts the coordinator's merged report in `dir` is byte-identical to
+/// the single-process reference from [`run_reference`].
 fn assert_recovered_bit_identical(dir: &Path) {
     assert_eq!(
         std::fs::read(dir.join("single/campaign.json")).unwrap(),
         std::fs::read(dir.join("recovered/campaign.json")).unwrap(),
         "recovered canonical report must equal the single-process one"
-    );
-    assert_eq!(
-        std::fs::read(dir.join("single.fsnap")).unwrap(),
-        std::fs::read(dir.join("recovered.fsnap")).unwrap(),
-        "recovered merged snapshot must be bit-identical"
     );
 }
 
@@ -119,23 +114,10 @@ fn coordinator_spawns_workers_and_merges_bit_identically() {
     let dir = temp_dir("merge");
     let config = write_config(&dir);
     let config = config.to_str().unwrap();
-    let campaign_bin = env!("CARGO_BIN_EXE_fahana-campaign");
     let shard_bin = env!("CARGO_BIN_EXE_fahana-shard");
 
     // reference: one process runs the whole grid
-    run_ok(
-        campaign_bin,
-        &[
-            "--config",
-            config,
-            "--canonical",
-            "--out",
-            "single",
-            "--cache-out",
-            "single.fsnap",
-        ],
-        &dir,
-    );
+    run_reference(&dir, config);
 
     // sharded: 3 worker processes, merged by the coordinator
     let (stdout, stderr) = run_ok(
@@ -148,8 +130,6 @@ fn coordinator_spawns_workers_and_merges_bit_identically() {
             "--canonical",
             "--out",
             "sharded",
-            "--cache-out",
-            "merged.fsnap",
             "--store",
             "store",
             "--store-id",
@@ -205,13 +185,6 @@ fn coordinator_spawns_workers_and_merges_bit_identically() {
     assert_eq!(
         single, sharded,
         "sharded(3) canonical report must equal the single-process one"
-    );
-    // and so is the merged cache snapshot
-    let single_snap = std::fs::read(dir.join("single.fsnap")).unwrap();
-    let merged_snap = std::fs::read(dir.join("merged.fsnap")).unwrap();
-    assert_eq!(
-        single_snap, merged_snap,
-        "merged snapshot must be bit-identical"
     );
 
     // --json printed the same merged report
@@ -273,7 +246,7 @@ fn coordinator_publishes_into_a_live_daemon_over_keep_alive() {
         .join("sharded/shards/shard-1.attempt-1/campaign.json")
         .exists());
     assert!(dir
-        .join("sharded/shards/shard-2.attempt-1/cache.fsnap")
+        .join("sharded/shards/shard-2.attempt-1/campaign.json")
         .exists());
 
     // the daemon holds the merged campaign durably
@@ -293,7 +266,7 @@ fn coordinator_publishes_into_a_live_daemon_over_keep_alive() {
 }
 
 /// The standard recovery-run arguments: 3 workers, canonical output into
-/// `recovered/`, merged snapshot to `recovered.fsnap`.
+/// `recovered/`.
 fn recovery_args(config: &str) -> Vec<&str> {
     vec![
         "--config",
@@ -303,9 +276,27 @@ fn recovery_args(config: &str) -> Vec<&str> {
         "--canonical",
         "--out",
         "recovered",
-        "--cache-out",
-        "recovered.fsnap",
     ]
+}
+
+#[test]
+fn cache_off_config_shards_bit_identically() {
+    // workers read the same config, so every one of them runs uncached;
+    // the canonical projection zeroes the cache counters, so the merged
+    // report must still equal the single-process run byte-for-byte
+    let dir = temp_dir("cache-off");
+    let config = write_config_with(&dir, "cache = off\n");
+    let config = config.to_str().unwrap();
+    run_reference(&dir, config);
+
+    let (_, stderr) = run_ok(
+        env!("CARGO_BIN_EXE_fahana-shard"),
+        &recovery_args(config),
+        &dir,
+    );
+    assert!(stderr.contains("merged 3 partial reports"), "{stderr}");
+    assert_recovered_bit_identical(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -371,7 +362,7 @@ fn complete_artifacts_of_a_failed_attempt_are_merged_exactly_once() {
     run_reference(&dir, config);
 
     // the regression from the pre-fault-tolerance coordinator: worker 2's
-    // first attempt writes its full report and snapshot and *then* exits
+    // first attempt writes its full report and *then* exits
     // non-zero — the retry must not merge that shard's artifacts twice
     // (per-attempt directories make the winning attempt the only merge
     // input; a double merge would fail with a duplicate-scenario error)
@@ -464,7 +455,6 @@ fn exhausted_retries_and_rebalancing_name_the_never_completed_cells() {
     );
     // no merged artifacts appear on a failed run
     assert!(!dir.join("recovered/campaign.json").exists());
-    assert!(!dir.join("recovered.fsnap").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -44,10 +44,7 @@ impl SeededRng {
         for slot in &mut state {
             *slot = splitmix64(&mut sm);
         }
-        // xoshiro must not start from the all-zero state
-        if state == [0; 4] {
-            state = [0x9E37_79B9_7F4A_7C15, 1, 2, 3];
-        }
+        // never all zero: the inputs seed + k·γ are distinct and the mix is a bijection
         SeededRng { state }
     }
 
