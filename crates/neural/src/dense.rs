@@ -111,6 +111,92 @@ impl Dense {
     pub fn bias(&self) -> &Tensor {
         &self.bias
     }
+
+    /// `out = x·W + b` for one input row, into a borrowed slice: the
+    /// allocation-free form of [`Layer::forward`] at batch 1, bit-identical
+    /// to it. Nothing is cached for [`Layer::backward`]; pair it with
+    /// [`Dense::backward_row`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if `x` is not `in_features` long or `out` is
+    /// not `out_features` long.
+    pub fn forward_row_into(&self, x: &[f32], out: &mut [f32]) -> Result<()> {
+        self.check_row(x, out.len())?;
+        out.fill(0.0);
+        kernels::matmul_into(
+            x,
+            self.weight.as_slice(),
+            out,
+            1,
+            self.in_features,
+            self.out_features,
+        );
+        Tensor::add_row_broadcast_in_place(out, &self.bias, 1, self.out_features)?;
+        Ok(())
+    }
+
+    /// Accumulates the weight and bias gradients of one row whose forward
+    /// input was `x`, and writes `dL/dx` into `grad_input`, without
+    /// allocating or touching the forward cache.
+    ///
+    /// Every element gets the operations [`Layer::backward`] applies at
+    /// batch 1, in the same order, so the result is bit-identical to it:
+    /// `dW[i][o] += xᵢ·dYₒ` (skipped terms added as `0`), `db[o] += dYₒ`,
+    /// and `dL/dxᵢ = Σₒ dYₒ·W[i][o]` summed in ascending `o` over the
+    /// non-zero `dYₒ`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if `x` or `grad_input` is not `in_features`
+    /// long or `grad_output` is not `out_features` long.
+    pub fn backward_row(
+        &mut self,
+        x: &[f32],
+        grad_output: &[f32],
+        grad_input: &mut [f32],
+    ) -> Result<()> {
+        self.check_row(x, grad_output.len())?;
+        self.check_row(grad_input, grad_output.len())?;
+        let out_features = self.out_features;
+        let weight_grad = self.weight_grad.as_mut_slice();
+        for (&xi, grad_row) in x.iter().zip(weight_grad.chunks_exact_mut(out_features)) {
+            for (g, &dy) in grad_row.iter_mut().zip(grad_output) {
+                // `xᵀ·dY` accumulates from zero and skips zero inputs
+                let term = if xi == 0.0 { 0.0 } else { 0.0 + xi * dy };
+                *g += term;
+            }
+        }
+        for (g, &dy) in self.bias_grad.as_mut_slice().iter_mut().zip(grad_output) {
+            *g += 0.0 + dy;
+        }
+        for (gx, w_row) in grad_input
+            .iter_mut()
+            .zip(self.weight.as_slice().chunks_exact(out_features))
+        {
+            let mut acc = 0.0f32;
+            for (&dy, &w) in grad_output.iter().zip(w_row) {
+                if dy != 0.0 {
+                    acc += dy * w;
+                }
+            }
+            *gx = acc;
+        }
+        Ok(())
+    }
+
+    /// Checks a one-row input of `in_features` and an output of
+    /// `out_features`.
+    fn check_row(&self, x: &[f32], out_len: usize) -> Result<()> {
+        if x.len() != self.in_features || out_len != self.out_features {
+            return Err(NeuralError::BadInputShape {
+                layer: "dense".into(),
+                expected: format!("({}) → ({})", self.in_features, self.out_features),
+                actual: vec![x.len(), out_len],
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Layer for Dense {
@@ -331,5 +417,77 @@ mod tests {
         assert_eq!(layer.bias_grad.as_slice()[0], first.as_slice()[0] * 2.0);
         layer.zero_grad();
         assert_eq!(layer.bias_grad.sum(), 0.0);
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_passes_are_bit_identical_to_forward_and_backward() {
+        let mut rng = SeededRng::new(3);
+        let mut tensor_layer = Dense::new(9, 5, &mut rng);
+        let mut row_layer = Dense::from_parts(
+            tensor_layer.weight.clone(),
+            Initializer::XavierUniform.create(&mut rng, &[5], 9, 5),
+        )
+        .unwrap();
+        tensor_layer.bias = row_layer.bias.clone();
+        // zeros in the input and the output gradient take the skip paths
+        let mut x: Vec<f32> = Initializer::HeNormal
+            .create(&mut rng, &[9], 9, 5)
+            .into_vec();
+        x[2] = 0.0;
+        x[7] = 0.0;
+        for pass in 0..3 {
+            let mut dy: Vec<f32> = Initializer::HeNormal
+                .create(&mut rng, &[5], 5, 9)
+                .into_vec();
+            dy[pass] = 0.0;
+            let input = Tensor::from_vec(x.clone(), &[1, 9]).unwrap();
+            let logits = tensor_layer.forward(&input, true).unwrap();
+            let grad_x = tensor_layer
+                .backward(&Tensor::from_vec(dy.clone(), &[1, 5]).unwrap())
+                .unwrap();
+
+            let mut row_logits = [0.0f32; 5];
+            row_layer.forward_row_into(&x, &mut row_logits).unwrap();
+            let mut row_grad_x = [0.0f32; 9];
+            row_layer.backward_row(&x, &dy, &mut row_grad_x).unwrap();
+
+            assert_eq!(bits(logits.as_slice()), bits(&row_logits), "pass {pass}");
+            assert_eq!(bits(grad_x.as_slice()), bits(&row_grad_x), "pass {pass}");
+            assert_eq!(
+                bits(tensor_layer.weight_grad.as_slice()),
+                bits(row_layer.weight_grad.as_slice()),
+                "pass {pass}"
+            );
+            assert_eq!(
+                bits(tensor_layer.bias_grad.as_slice()),
+                bits(row_layer.bias_grad.as_slice()),
+                "pass {pass}"
+            );
+        }
+    }
+
+    #[test]
+    fn row_passes_reject_wrong_lengths() {
+        let mut rng = SeededRng::new(4);
+        let mut layer = Dense::new(3, 2, &mut rng);
+        let mut out = [0.0f32; 2];
+        assert!(layer.forward_row_into(&[1.0; 4], &mut out).is_err());
+        assert!(layer.forward_row_into(&[1.0; 3], &mut [0.0; 3]).is_err());
+        let mut grad_x = [0.0f32; 3];
+        assert!(layer
+            .backward_row(&[1.0; 3], &[1.0; 3], &mut grad_x)
+            .is_err());
+        assert!(layer
+            .backward_row(&[1.0; 3], &[1.0; 2], &mut [0.0; 4])
+            .is_err());
+        assert_eq!(
+            layer.weight_grad.sum(),
+            0.0,
+            "a rejected call accumulates nothing"
+        );
     }
 }

@@ -54,7 +54,7 @@ pub use dense::Dense;
 pub use error::NeuralError;
 pub use layer::{Layer, ParamSet};
 pub use loss::{accuracy, softmax_cross_entropy, LossOutput};
-pub use lstm::{LstmCell, LstmState};
+pub use lstm::{LstmCell, LstmRecord, LstmState};
 pub use norm::ChannelNorm;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use pool::{Flatten, GlobalAvgPool};

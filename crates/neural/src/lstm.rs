@@ -37,24 +37,38 @@ impl LstmState {
 ///
 /// # Step arena
 ///
-/// The record of an episode is one flat `f32` arena. Each step appends
-/// `[x | h_prev | c_prev | gates | tanh(c_new)]`, where `gates` holds the
+/// The record of an episode is one flat `f32` arena, an [`LstmRecord`]. The
+/// first step stores the episode's initial state `[h_0 | c_0]` once; every
+/// step then appends `[x | gates | tanh(c_new)]`, where `gates` holds the
 /// activated gates of every batch row in the packed layout above (so for
-/// batch 1 the record is `[x | h_prev | c_prev | i | f | g | o | tanh(c)]`).
-/// Backpropagation only needs `c_new` through its `tanh`, which the forward
-/// pass computes anyway, so that is what is kept. [`LstmCell::clear_cache`]
-/// empties the arena but keeps its capacity: after the first episode a step
-/// allocates nothing but the state it returns. Every step of an episode
-/// must use the batch size of its first step; a step with another batch is
-/// a shape error.
+/// batch 1 a step is `[x | i | f | g | o | tanh(c)]`, `input + 5·hidden`
+/// floats). The state a step consumed is not stored: backpropagation
+/// rebuilds it from the steps before, with the forward pass's own
+/// expressions `c_prev = f·c_prev + i·g` and `h_prev = o·tanh(c)`, so the
+/// rebuilt values are bit-identical to the ones the step saw.
+///
+/// That rebuild is only valid if every step continues from the previous
+/// step's output, so the cell enforces the chaining rule: after the first
+/// step of an episode, a step whose state is not bit-identical to the
+/// previous step's output is a [`NeuralError::UnchainedStep`] error, and
+/// every step must use the batch size of the first one (a
+/// [`NeuralError::BadInputShape`] error otherwise). Neither error records
+/// anything, and [`Layer::forward`] starts a new episode so it never breaks
+/// the rule. [`LstmCell::clear_cache`] starts a new episode and keeps the
+/// arena's capacity, so after the first episode a step allocates nothing.
+/// [`LstmCell::take_record`] moves an episode out of
+/// the cell so it can be backpropagated later with
+/// [`LstmCell::backward_record`], as long as the weights have not changed;
+/// the next episode then allocates one arena of the taken one's length.
 ///
 /// # Backpropagation and bit identity
 ///
-/// [`LstmCell::backward_through_time`] transposes the weights once per call,
-/// walks the arena backwards with one fused elementwise loop (the same
-/// operations, in the same order, as the textbook per-step tensor
+/// Backpropagation transposes the recurrent weights into a buffer the cell
+/// reuses, walks the arena backwards with one fused elementwise loop (the
+/// same operations, in the same order, as the textbook per-step tensor
 /// formulation), and stacks the per-step pre-activation gradients in
-/// reverse step order. The input, weight and bias gradients are then
+/// reverse step order. The weight and bias gradients (and, for
+/// [`LstmCell::backward_through_time`], the input gradients) are then
 /// computed from that stack with one [`kernels::matmul_into`] /
 /// [`kernels::sum_axis0_into`] each, straight into the gradient tensors.
 /// Those kernels add one term at a time in ascending row order, so at batch
@@ -74,9 +88,11 @@ impl LstmState {
 ///
 /// let mut rng = SeededRng::new(0);
 /// let mut cell = LstmCell::new(8, 16, &mut rng)?;
-/// let state = LstmState::zeros(1, 16);
-/// let next = cell.step(&Tensor::zeros(&[1, 8]), &state)?;
-/// assert_eq!(next.h.dims(), &[1, 16]);
+/// let mut state = LstmState::zeros(1, 16);
+/// cell.step(&Tensor::zeros(&[1, 8]), &mut state)?;
+/// cell.step(&Tensor::ones(&[1, 8]), &mut state)?;
+/// assert_eq!(state.h.dims(), &[1, 16]);
+/// assert_eq!(cell.recorded_steps(), 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -90,24 +106,100 @@ pub struct LstmCell {
     bias_grad: Tensor,
     input_size: usize,
     hidden_size: usize,
-    /// Per-step records of the current episode (see the type docs).
-    arena: Vec<f32>,
-    /// Number of steps recorded in `arena`.
-    steps: usize,
-    /// Batch size of every step recorded in `arena`.
-    batch: usize,
+    /// The current episode (see the type docs).
+    record: LstmRecord,
+    /// Output state of the last recorded step, for the chaining rule.
+    last_h: Vec<f32>,
+    last_c: Vec<f32>,
+    /// Arena length of the last record taken out, reserved for the next.
+    arena_hint: usize,
     /// Reused `h·Wh` product of [`LstmCell::step`].
     hidden_product: Vec<f32>,
+    bptt: BpttScratch,
     trainable: TrainableFlag,
 }
 
-/// Borrowed view of one recorded step in the arena.
-struct StepRecord<'a> {
+/// The recorded steps of one episode of an [`LstmCell`]: the initial state
+/// once, then `[x | gates | tanh(c)]` per step (see the cell's "Step arena"
+/// docs).
+#[derive(Debug, Clone, Default)]
+pub struct LstmRecord {
+    arena: Vec<f32>,
+    steps: usize,
+    batch: usize,
+    input_size: usize,
+    hidden_size: usize,
+}
+
+/// Borrowed view of one recorded step.
+struct StepView<'a> {
     x: &'a [f32],
-    h_prev: &'a [f32],
-    c_prev: &'a [f32],
     gates: &'a [f32],
     tanh_c: &'a [f32],
+}
+
+impl LstmRecord {
+    fn empty(input_size: usize, hidden_size: usize) -> Self {
+        LstmRecord {
+            arena: Vec::new(),
+            steps: 0,
+            batch: 0,
+            input_size,
+            hidden_size,
+        }
+    }
+
+    /// Floats one step occupies after the initial state.
+    fn step_len(&self) -> usize {
+        self.batch * (self.input_size + 5 * self.hidden_size)
+    }
+
+    /// The episode's initial `(h, c)`.
+    fn initial(&self) -> (&[f32], &[f32]) {
+        let n = self.batch * self.hidden_size;
+        self.arena[..2 * n].split_at(n)
+    }
+
+    fn view(&self, t: usize) -> StepView<'_> {
+        let (b, h) = (self.batch, self.hidden_size);
+        let start = 2 * b * h + t * self.step_len();
+        let rec = &self.arena[start..start + self.step_len()];
+        let (x, rest) = rec.split_at(b * self.input_size);
+        let (gates, tanh_c) = rest.split_at(b * 4 * h);
+        StepView { x, gates, tanh_c }
+    }
+
+    /// Writes the hidden state step `t` produced, `(batch, hidden)` row-major,
+    /// into `out`: `o·tanh(c)`, bit-identical to that step's output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not a recorded step or `out` has the wrong length.
+    pub fn hidden_into(&self, t: usize, out: &mut [f32]) {
+        let h = self.hidden_size;
+        assert!(t < self.steps, "step {t} of {} recorded", self.steps);
+        assert_eq!(out.len(), self.batch * h, "hidden output length");
+        let rec = self.view(t);
+        for (b, out) in out.chunks_exact_mut(h).enumerate() {
+            let o = &rec.gates[b * 4 * h + 3 * h..(b + 1) * 4 * h];
+            let tanh_c = &rec.tanh_c[b * h..(b + 1) * h];
+            for ((v, &o), &tc) in out.iter_mut().zip(o).zip(tanh_c) {
+                *v = o * tc;
+            }
+        }
+    }
+}
+
+/// Buffers of one backpropagation pass, kept between calls.
+#[derive(Debug, Default)]
+struct BpttScratch {
+    weight_h_t: Vec<f32>,
+    d_gates: Vec<f32>,
+    x_t: Vec<f32>,
+    h_prev_t: Vec<f32>,
+    c_prev: Vec<f32>,
+    d_h_next: Vec<f32>,
+    d_c_next: Vec<f32>,
 }
 
 impl LstmCell {
@@ -149,10 +241,12 @@ impl LstmCell {
             bias,
             input_size,
             hidden_size,
-            arena: Vec::new(),
-            steps: 0,
-            batch: 0,
+            record: LstmRecord::empty(input_size, hidden_size),
+            last_h: Vec::new(),
+            last_c: Vec::new(),
+            arena_hint: 0,
             hidden_product: Vec::new(),
+            bptt: BpttScratch::default(),
             trainable: TrainableFlag::new(),
         })
     }
@@ -169,45 +263,37 @@ impl LstmCell {
 
     /// Number of recorded steps since the last [`LstmCell::clear_cache`].
     pub fn recorded_steps(&self) -> usize {
-        self.steps
+        self.record.steps
     }
 
     /// Discards the recorded steps (call at the start of each episode). The
     /// arena keeps its capacity for the next episode.
     pub fn clear_cache(&mut self) {
-        self.arena.clear();
-        self.steps = 0;
+        self.record.arena.clear();
+        self.record.steps = 0;
     }
 
-    /// Floats one step occupies in the arena.
-    fn record_len(&self) -> usize {
-        self.batch * (self.input_size + 7 * self.hidden_size)
+    /// Moves the recorded episode out of the cell, for a later
+    /// [`LstmCell::backward_record`]. The next episode's first step
+    /// allocates a new arena of the taken one's length.
+    pub fn take_record(&mut self) -> LstmRecord {
+        self.arena_hint = self.record.arena.len();
+        let next = LstmRecord::empty(self.input_size, self.hidden_size);
+        std::mem::replace(&mut self.record, next)
     }
 
-    fn record(&self, t: usize) -> StepRecord<'_> {
-        let (b, h) = (self.batch, self.hidden_size);
-        let rec = &self.arena[t * self.record_len()..(t + 1) * self.record_len()];
-        let (x, rest) = rec.split_at(b * self.input_size);
-        let (h_prev, rest) = rest.split_at(b * h);
-        let (c_prev, rest) = rest.split_at(b * h);
-        let (gates, tanh_c) = rest.split_at(b * 4 * h);
-        StepRecord {
-            x,
-            h_prev,
-            c_prev,
-            gates,
-            tanh_c,
-        }
-    }
-
-    /// Runs one LSTM step and records it in the arena for BPTT.
+    /// Runs one LSTM step, records it in the arena for BPTT and overwrites
+    /// `state` with the next state.
     ///
     /// # Errors
     ///
     /// Returns a shape error if `x` is not `(batch, input_size)`, the state
     /// widths do not match the cell, or `batch` differs from the batch of
-    /// the steps already recorded this episode.
-    pub fn step(&mut self, x: &Tensor, state: &LstmState) -> Result<LstmState> {
+    /// the steps already recorded this episode, and
+    /// [`NeuralError::UnchainedStep`] if steps are recorded and `state` is
+    /// not the last one's output. On error nothing is recorded and `state`
+    /// is unchanged.
+    pub fn step(&mut self, x: &Tensor, state: &mut LstmState) -> Result<()> {
         let (batch, in_features) = x.shape().as_matrix()?;
         if in_features != self.input_size {
             return Err(NeuralError::BadInputShape {
@@ -225,25 +311,35 @@ impl LstmCell {
                 actual: state.h.dims().to_vec(),
             });
         }
-        if self.steps > 0 && batch != self.batch {
+        let (h, input) = (self.hidden_size, self.input_size);
+        let record = &mut self.record;
+        if record.steps == 0 {
+            record.batch = batch;
+            record.arena.clear();
+            record.arena.reserve_exact(self.arena_hint);
+            record.arena.extend_from_slice(state.h.as_slice());
+            record.arena.extend_from_slice(state.c.as_slice());
+        } else if batch != record.batch {
             return Err(NeuralError::BadInputShape {
                 layer: "lstm".into(),
                 expected: format!(
-                    "({}, {}): the batch of this episode's recorded steps",
-                    self.batch, self.input_size
+                    "({}, {input}): the batch of this episode's recorded steps",
+                    record.batch
                 ),
                 actual: x.dims().to_vec(),
             });
+        } else if !same_bits(state.h.as_slice(), &self.last_h)
+            || !same_bits(state.c.as_slice(), &self.last_c)
+        {
+            return Err(NeuralError::UnchainedStep {
+                layer: "lstm".into(),
+                recorded: record.steps,
+            });
         }
-        self.batch = batch;
-        let h = self.hidden_size;
-        let start = self.arena.len();
-        self.arena.extend_from_slice(x.as_slice());
-        self.arena.extend_from_slice(state.h.as_slice());
-        self.arena.extend_from_slice(state.c.as_slice());
-        let gates_at = self.arena.len();
-        self.arena.resize(start + self.record_len(), 0.0);
-        let (gates, tanh_c) = self.arena[gates_at..].split_at_mut(batch * 4 * h);
+        let start = record.arena.len();
+        record.arena.extend_from_slice(x.as_slice());
+        record.arena.resize(start + record.step_len(), 0.0);
+        let (gates, tanh_c) = record.arena[start + batch * input..].split_at_mut(batch * 4 * h);
 
         // gates = (x·Wx + h·Wh) + bias, each product accumulated from zero
         kernels::matmul_into(
@@ -251,11 +347,10 @@ impl LstmCell {
             self.weight_x.as_slice(),
             gates,
             batch,
-            self.input_size,
+            input,
             4 * h,
         );
-        self.hidden_product.clear();
-        self.hidden_product.resize(batch * 4 * h, 0.0);
+        refill(&mut self.hidden_product, batch * 4 * h);
         kernels::matmul_into(
             state.h.as_slice(),
             self.weight_h.as_slice(),
@@ -264,38 +359,40 @@ impl LstmCell {
             h,
             4 * h,
         );
-        let mut c_new = vec![0.0f32; batch * h];
-        let mut h_new = vec![0.0f32; batch * h];
-        let (c_prev, bias) = (state.c.as_slice(), self.bias.as_slice());
+        let bias = self.bias.as_slice();
+        let (h_out, c_out) = (state.h.as_mut_slice(), state.c.as_mut_slice());
         for (b, (row, hw)) in gates
             .chunks_exact_mut(4 * h)
             .zip(self.hidden_product.chunks_exact(4 * h))
             .enumerate()
         {
-            for (j, ((v, &hv), &bv)) in row.iter_mut().zip(hw).zip(bias).enumerate() {
-                // block 2 is the cell gate `g`; the other three are sigmoids
-                let pre = (*v + hv) + bv;
-                *v = if j / h == 2 { pre.tanh() } else { sigmoid(pre) };
-            }
+            // block 2 is the cell gate `g`; the other three are sigmoids
+            let (pre_i, rest) = row.split_at_mut(h);
+            let (pre_f, rest) = rest.split_at_mut(h);
+            let (pre_g, pre_o) = rest.split_at_mut(h);
+            activate(pre_i, &hw[..h], &bias[..h], sigmoid);
+            activate(pre_f, &hw[h..2 * h], &bias[h..2 * h], sigmoid);
+            activate(pre_g, &hw[2 * h..3 * h], &bias[2 * h..3 * h], f32::tanh);
+            activate(pre_o, &hw[3 * h..], &bias[3 * h..], sigmoid);
             let (i, f, g, o) = split_gates(row, h);
             let rows = b * h..(b + 1) * h;
-            let (c_prev, c_new, h_new) = (
-                &c_prev[rows.clone()],
-                &mut c_new[rows.clone()],
-                &mut h_new[rows.clone()],
+            let (c, h_new, tanh_c) = (
+                &mut c_out[rows.clone()],
+                &mut h_out[rows.clone()],
+                &mut tanh_c[rows],
             );
-            let tanh_c = &mut tanh_c[rows];
             for j in 0..h {
-                c_new[j] = f[j] * c_prev[j] + i[j] * g[j];
-                tanh_c[j] = c_new[j].tanh();
+                c[j] = f[j] * c[j] + i[j] * g[j];
+                tanh_c[j] = c[j].tanh();
                 h_new[j] = o[j] * tanh_c[j];
             }
         }
-        self.steps += 1;
-        Ok(LstmState {
-            h: Tensor::from_vec(h_new, &[batch, h])?,
-            c: Tensor::from_vec(c_new, &[batch, h])?,
-        })
+        record.steps += 1;
+        self.last_h.clear();
+        self.last_h.extend_from_slice(h_out);
+        self.last_c.clear();
+        self.last_c.extend_from_slice(c_out);
+        Ok(())
     }
 
     /// Backpropagates through every recorded step.
@@ -310,14 +407,13 @@ impl LstmCell {
     /// Returns an error if `grad_h.len()` differs from the number of
     /// recorded steps or an entry is not `(batch, hidden_size)`.
     pub fn backward_through_time(&mut self, grad_h: &[Tensor]) -> Result<Vec<Tensor>> {
-        if grad_h.len() != self.steps {
+        let (steps, batch, h) = (self.record.steps, self.record.batch, self.hidden_size);
+        if grad_h.len() != steps {
             return Err(NeuralError::InvalidConfig(format!(
-                "got {} hidden gradients for {} recorded steps",
-                grad_h.len(),
-                self.steps
+                "got {} hidden gradients for {steps} recorded steps",
+                grad_h.len()
             )));
         }
-        let (steps, batch, h, input) = (self.steps, self.batch, self.hidden_size, self.input_size);
         if let Some(bad) = grad_h.iter().find(|g| g.dims() != [batch, h]) {
             return Err(NeuralError::BadInputShape {
                 layer: "lstm-bptt".into(),
@@ -328,25 +424,133 @@ impl LstmCell {
         if steps == 0 {
             return Ok(Vec::new());
         }
-        let weight_h_t = self.weight_h.transpose()?;
+        let flat: Vec<f32> = grad_h.iter().flat_map(|g| g.as_slice()).copied().collect();
+        let record = std::mem::take(&mut self.record);
+        let mut grad_x = Vec::new();
+        let result = self.bptt(&record, &flat, Some(&mut grad_x));
+        self.record = record;
+        result?;
+        // the rows of `grad_x` are in reverse step order
+        let width = batch * self.input_size;
+        grad_x
+            .chunks_exact(width)
+            .rev()
+            .map(|g| Ok(Tensor::from_vec(g.to_vec(), &[batch, self.input_size])?))
+            .collect()
+    }
+
+    /// Backpropagates through an episode taken out of this cell with
+    /// [`LstmCell::take_record`], accumulating the parameter gradients
+    /// without computing the input gradients. The record must have been
+    /// taken with the current weights.
+    ///
+    /// `grad_h` holds `dL/dh_t` for every step in step order, each
+    /// `(batch, hidden_size)` row-major, concatenated.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the record is of a cell with other sizes or
+    /// `grad_h` has the wrong length.
+    pub fn backward_record(&mut self, record: &LstmRecord, grad_h: &[f32]) -> Result<()> {
+        if (record.input_size, record.hidden_size) != (self.input_size, self.hidden_size) {
+            return Err(NeuralError::InvalidConfig(format!(
+                "record of a {}→{} cell given to a {}→{} cell",
+                record.input_size, record.hidden_size, self.input_size, self.hidden_size
+            )));
+        }
+        let expected = record.steps * record.batch * self.hidden_size;
+        if grad_h.len() != expected {
+            return Err(NeuralError::InvalidConfig(format!(
+                "got {} hidden-gradient values for {expected}",
+                grad_h.len()
+            )));
+        }
+        self.bptt(record, grad_h, None)
+    }
+
+    /// Backpropagation proper (see the type docs); `grad_h` is validated.
+    /// Writes the input gradients, rows in reverse step order, to `grad_x`
+    /// when it is given.
+    fn bptt(
+        &mut self,
+        record: &LstmRecord,
+        grad_h: &[f32],
+        grad_x: Option<&mut Vec<f32>>,
+    ) -> Result<()> {
+        let (steps, batch, h, input) = (
+            record.steps,
+            record.batch,
+            self.hidden_size,
+            self.input_size,
+        );
+        if steps == 0 {
+            return Ok(());
+        }
         // Row `r` of `d_gates` (column `r` of `x_t` and `h_prev_t`) is batch
         // row `r % batch` of step `steps - 1 - r / batch`. Reverse step
         // order is the order a per-step accumulation would add the terms.
         let rows = steps * batch;
-        let mut d_gates = vec![0.0f32; rows * 4 * h];
-        let mut x_t = vec![0.0f32; input * rows];
-        let mut h_prev_t = vec![0.0f32; h * rows];
-        let mut d_h_next = vec![0.0f32; batch * h];
-        let mut d_c_next = vec![0.0f32; batch * h];
+        let s = &mut self.bptt;
+        transpose_into(self.weight_h.as_slice(), h, 4 * h, &mut s.weight_h_t);
+        refill(&mut s.d_gates, rows * 4 * h);
+        refill(&mut s.x_t, input * rows);
+        refill(&mut s.h_prev_t, h * rows);
+        refill(&mut s.c_prev, rows * h);
+        refill(&mut s.d_h_next, batch * h);
+        refill(&mut s.d_c_next, batch * h);
+
+        // rebuild every step's incoming state with `step`'s own
+        // expressions, and lay `x` and `h_prev` out transposed
+        let (h0, c0) = record.initial();
+        s.c_prev[..batch * h].copy_from_slice(c0);
+        for t in 0..steps {
+            let rec = record.view(t);
+            if t + 1 < steps {
+                let (done, next) = s.c_prev.split_at_mut((t + 1) * batch * h);
+                let (c_prev, c_next) = (&done[t * batch * h..], &mut next[..batch * h]);
+                for (b, gates) in rec.gates.chunks_exact(4 * h).enumerate() {
+                    let (i, f, g, _) = split_gates(gates, h);
+                    let cols = b * h..(b + 1) * h;
+                    let (c_prev, c_next) = (&c_prev[cols.clone()], &mut c_next[cols]);
+                    for j in 0..h {
+                        c_next[j] = f[j] * c_prev[j] + i[j] * g[j];
+                    }
+                }
+            }
+            let prev = (t > 0).then(|| record.view(t - 1));
+            for b in 0..batch {
+                let col = (steps - 1 - t) * batch + b;
+                for (p, &v) in rec.x[b * input..(b + 1) * input].iter().enumerate() {
+                    s.x_t[p * rows + col] = v;
+                }
+                match &prev {
+                    None => {
+                        for (p, &v) in h0[b * h..(b + 1) * h].iter().enumerate() {
+                            s.h_prev_t[p * rows + col] = v;
+                        }
+                    }
+                    Some(prev) => {
+                        let o = &prev.gates[b * 4 * h + 3 * h..(b + 1) * 4 * h];
+                        let tanh_c = &prev.tanh_c[b * h..(b + 1) * h];
+                        for p in 0..h {
+                            s.h_prev_t[p * rows + col] = o[p] * tanh_c[p];
+                        }
+                    }
+                }
+            }
+        }
+
         for (r_step, t) in (0..steps).rev().enumerate() {
-            let rec = self.record(t);
-            let d_rows = &mut d_gates[r_step * batch * 4 * h..(r_step + 1) * batch * 4 * h];
+            let rec = record.view(t);
+            let d_rows = &mut s.d_gates[r_step * batch * 4 * h..(r_step + 1) * batch * 4 * h];
+            let step_rows = t * batch * h..(t + 1) * batch * h;
+            let (dh_step, c_prev_step) = (&grad_h[step_rows.clone()], &s.c_prev[step_rows]);
             for (b, d_row) in d_rows.chunks_exact_mut(4 * h).enumerate() {
                 let (i, f, g, o) = split_gates(&rec.gates[b * 4 * h..(b + 1) * 4 * h], h);
                 let cols = b * h..(b + 1) * h;
-                let dh = &grad_h[t].as_slice()[cols.clone()];
-                let (c_prev, tanh_c) = (&rec.c_prev[cols.clone()], &rec.tanh_c[cols.clone()]);
-                let (d_h_next, d_c_next) = (&d_h_next[cols.clone()], &mut d_c_next[cols]);
+                let (dh, c_prev) = (&dh_step[cols.clone()], &c_prev_step[cols.clone()]);
+                let tanh_c = &rec.tanh_c[cols.clone()];
+                let (d_h_next, d_c_next) = (&s.d_h_next[cols.clone()], &mut s.d_c_next[cols]);
                 let (d_i, d_rest) = d_row.split_at_mut(h);
                 let (d_f, d_rest) = d_rest.split_at_mut(h);
                 let (d_g, d_o) = d_rest.split_at_mut(h);
@@ -360,58 +564,43 @@ impl LstmCell {
                     d_g[j] = (d_c * i[j]) * (1.0 - g[j] * g[j]);
                     d_o[j] = (dh_total * tanh_c[j]) * (o[j] * (1.0 - o[j]));
                 }
-                let col = r_step * batch + b;
-                for (p, &v) in rec.x[b * input..(b + 1) * input].iter().enumerate() {
-                    x_t[p * rows + col] = v;
-                }
-                for (p, &v) in rec.h_prev[b * h..(b + 1) * h].iter().enumerate() {
-                    h_prev_t[p * rows + col] = v;
-                }
             }
-            d_h_next.fill(0.0);
-            kernels::matmul_into(
-                d_rows,
-                weight_h_t.as_slice(),
-                &mut d_h_next,
-                batch,
-                4 * h,
-                h,
-            );
+            if t > 0 {
+                s.d_h_next.fill(0.0);
+                kernels::matmul_into(d_rows, &s.weight_h_t, &mut s.d_h_next, batch, 4 * h, h);
+            }
         }
         // input gradients and parameter gradients, from the whole stack
-        let mut grad_x = vec![0.0f32; rows * input];
-        let weight_x_t = self.weight_x.transpose()?;
+        if let Some(grad_x) = grad_x {
+            refill(grad_x, rows * input);
+            let weight_x_t = self.weight_x.transpose()?;
+            kernels::matmul_into(
+                &s.d_gates,
+                weight_x_t.as_slice(),
+                grad_x,
+                rows,
+                4 * h,
+                input,
+            );
+        }
         kernels::matmul_into(
-            &d_gates,
-            weight_x_t.as_slice(),
-            &mut grad_x,
-            rows,
-            4 * h,
-            input,
-        );
-        let grad_inputs = grad_x
-            .chunks_exact(batch * input)
-            .rev()
-            .map(|g| Tensor::from_vec(g.to_vec(), &[batch, input]))
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        kernels::matmul_into(
-            &x_t,
-            &d_gates,
+            &s.x_t,
+            &s.d_gates,
             self.weight_x_grad.as_mut_slice(),
             input,
             rows,
             4 * h,
         );
         kernels::matmul_into(
-            &h_prev_t,
-            &d_gates,
+            &s.h_prev_t,
+            &s.d_gates,
             self.weight_h_grad.as_mut_slice(),
             h,
             rows,
             4 * h,
         );
-        kernels::sum_axis0_into(&d_gates, self.bias_grad.as_mut_slice(), rows, 4 * h);
-        Ok(grad_inputs)
+        kernels::sum_axis0_into(&s.d_gates, self.bias_grad.as_mut_slice(), rows, 4 * h);
+        Ok(())
     }
 }
 
@@ -423,8 +612,35 @@ fn split_gates(row: &[f32], h: usize) -> (&[f32], &[f32], &[f32], &[f32]) {
     (i, f, g, &o[..h])
 }
 
+/// One gate block: `v = act((v + hv) + bias)`, where `v` holds `x·Wx`.
+fn activate(block: &mut [f32], hidden: &[f32], bias: &[f32], act: impl Fn(f32) -> f32) {
+    for ((v, &hv), &bv) in block.iter_mut().zip(hidden).zip(bias) {
+        *v = act((*v + hv) + bv);
+    }
+}
+
 fn sigmoid(v: f32) -> f32 {
     1.0 / (1.0 + (-v).exp())
+}
+
+/// Empties `buf` and refills it with `len` zeros, keeping its capacity.
+fn refill(buf: &mut Vec<f32>, len: usize) {
+    buf.clear();
+    buf.resize(len, 0.0);
+}
+
+/// Writes the transpose of a row-major `(rows × cols)` matrix into `out`.
+fn transpose_into(src: &[f32], rows: usize, cols: usize, out: &mut Vec<f32>) {
+    refill(out, rows * cols);
+    for (i, row) in src.chunks_exact(cols).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            out[j * rows + i] = v;
+        }
+    }
+}
+
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl Layer for LstmCell {
@@ -432,23 +648,26 @@ impl Layer for LstmCell {
         "lstm"
     }
 
-    /// Runs a single step from a zero state; provided so the cell can be
-    /// driven by generic [`Layer`] tooling (optimizers, counting).
+    /// Runs a single step from a zero state as a new episode (discarding
+    /// any recorded steps); provided so the cell can be driven by generic
+    /// [`Layer`] tooling (optimizers, counting).
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
         let (batch, _) = input.shape().as_matrix()?;
-        let state = LstmState::zeros(batch, self.hidden_size);
-        Ok(self.step(input, &state)?.h)
+        self.clear_cache();
+        let mut state = LstmState::zeros(batch, self.hidden_size);
+        self.step(input, &mut state)?;
+        Ok(state.h)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        if self.steps == 0 {
+        let steps = self.record.steps;
+        if steps == 0 {
             return Err(NeuralError::MissingForwardCache {
                 layer: "lstm".into(),
             });
         }
-        let mut grads = vec![Tensor::zeros(grad_output.dims()); self.steps];
-        let last = grads.len() - 1;
-        grads[last] = grad_output.clone();
+        let mut grads = vec![Tensor::zeros(grad_output.dims()); steps];
+        grads[steps - 1] = grad_output.clone();
         let inputs = self.backward_through_time(&grads)?;
         Ok(inputs.into_iter().last().unwrap_or_default())
     }
@@ -505,7 +724,7 @@ mod tests {
         let mut state = LstmState::zeros(2, 5);
         for _ in 0..10 {
             let x = Initializer::HeNormal.create(&mut rng, &[2, 3], 3, 5);
-            state = cell.step(&x, &state).unwrap();
+            cell.step(&x, &mut state).unwrap();
             // h = o * tanh(c) is bounded by |tanh| <= 1
             assert!(state.h.as_slice().iter().all(|v| v.abs() <= 1.0));
             assert!(state.h.is_finite());
@@ -519,10 +738,10 @@ mod tests {
     fn step_rejects_mismatched_shapes() {
         let mut rng = SeededRng::new(2);
         let mut cell = LstmCell::new(3, 5, &mut rng).unwrap();
-        let state = LstmState::zeros(1, 5);
-        assert!(cell.step(&Tensor::zeros(&[1, 4]), &state).is_err());
-        let bad_state = LstmState::zeros(1, 4);
-        assert!(cell.step(&Tensor::zeros(&[1, 3]), &bad_state).is_err());
+        let mut state = LstmState::zeros(1, 5);
+        assert!(cell.step(&Tensor::zeros(&[1, 4]), &mut state).is_err());
+        let mut bad_state = LstmState::zeros(1, 4);
+        assert!(cell.step(&Tensor::zeros(&[1, 3]), &mut bad_state).is_err());
     }
 
     fn param_mut(cell: &mut LstmCell, param: usize) -> &mut Tensor {
@@ -535,21 +754,30 @@ mod tests {
 
     /// Checks every element of BPTT's `weight_x`, `weight_h` and bias
     /// gradients against central finite differences of `loss = Σ_t Σ h_t`
-    /// over a 3-step episode.
-    fn check_bptt_against_finite_differences(batch: usize, seed: u64) {
+    /// over a 3-step episode, starting from a zero state or, with
+    /// `nonzero_initial`, from a random one (which the record stores once).
+    fn check_bptt_against_finite_differences(batch: usize, seed: u64, nonzero_initial: bool) {
         let mut rng = SeededRng::new(seed);
         let mut cell = LstmCell::new(2, 3, &mut rng).unwrap();
         let steps = 3usize;
         let inputs: Vec<Tensor> = (0..steps)
             .map(|_| Initializer::HeNormal.create(&mut rng, &[batch, 2], 2, 3))
             .collect();
+        let initial = if nonzero_initial {
+            LstmState {
+                h: Initializer::HeNormal.create(&mut rng, &[batch, 3], 3, 3),
+                c: Initializer::HeNormal.create(&mut rng, &[batch, 3], 3, 3),
+            }
+        } else {
+            LstmState::zeros(batch, 3)
+        };
 
         let run_loss = |cell: &mut LstmCell| -> f32 {
             cell.clear_cache();
-            let mut state = LstmState::zeros(batch, 3);
+            let mut state = initial.clone();
             let mut loss = 0.0;
             for x in &inputs {
-                state = cell.step(x, &state).unwrap();
+                cell.step(x, &mut state).unwrap();
                 loss += state.h.sum();
             }
             loss
@@ -592,29 +820,121 @@ mod tests {
 
     #[test]
     fn bptt_gradients_match_finite_differences() {
-        check_bptt_against_finite_differences(1, 3);
+        check_bptt_against_finite_differences(1, 3, false);
     }
 
     #[test]
     fn bptt_gradients_match_finite_differences_at_batch_two() {
-        check_bptt_against_finite_differences(2, 8);
+        check_bptt_against_finite_differences(2, 8, false);
+    }
+
+    #[test]
+    fn bptt_gradients_match_finite_differences_from_a_nonzero_state() {
+        check_bptt_against_finite_differences(1, 11, true);
+    }
+
+    #[test]
+    fn bptt_gradients_match_finite_differences_from_a_nonzero_state_at_batch_two() {
+        check_bptt_against_finite_differences(2, 12, true);
+    }
+
+    fn grad_bits(cell: &LstmCell) -> Vec<u32> {
+        [&cell.weight_x_grad, &cell.weight_h_grad, &cell.bias_grad]
+            .iter()
+            .flat_map(|g| g.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn a_taken_record_backpropagates_like_the_cells_own() {
+        let mut rng = SeededRng::new(13);
+        let mut cell = LstmCell::new(3, 4, &mut rng).unwrap();
+        let mut state = LstmState {
+            h: Initializer::HeNormal.create(&mut rng, &[1, 4], 4, 4),
+            c: Initializer::HeNormal.create(&mut rng, &[1, 4], 4, 4),
+        };
+        let mut hidden = Vec::new();
+        for _ in 0..5 {
+            let x = Initializer::HeNormal.create(&mut rng, &[1, 3], 3, 4);
+            cell.step(&x, &mut state).unwrap();
+            hidden.extend_from_slice(state.h.as_slice());
+        }
+        let grad_h: Vec<Tensor> = (0..5)
+            .map(|_| Initializer::HeNormal.create(&mut rng, &[1, 4], 4, 4))
+            .collect();
+        cell.zero_grad();
+        cell.backward_through_time(&grad_h).unwrap();
+        let own = grad_bits(&cell);
+
+        let record = cell.take_record();
+        assert_eq!(
+            (record.steps, record.batch, cell.recorded_steps()),
+            (5, 1, 0)
+        );
+        let mut rebuilt = vec![0.0f32; 4];
+        for t in 0..5 {
+            record.hidden_into(t, &mut rebuilt);
+            assert_eq!(rebuilt, hidden[t * 4..(t + 1) * 4], "step {t} output");
+        }
+        let flat: Vec<f32> = grad_h.iter().flat_map(|g| g.as_slice()).copied().collect();
+        cell.zero_grad();
+        cell.backward_record(&record, &flat).unwrap();
+        assert_eq!(grad_bits(&cell), own);
+
+        assert!(cell.backward_record(&record, &flat[1..]).is_err());
+        let mut other = LstmCell::new(2, 4, &mut rng).unwrap();
+        assert!(other.backward_record(&record, &flat).is_err());
     }
 
     #[test]
     fn step_rejects_a_batch_change_mid_episode() {
         let mut rng = SeededRng::new(9);
         let mut cell = LstmCell::new(2, 3, &mut rng).unwrap();
-        cell.step(&Tensor::ones(&[1, 2]), &LstmState::zeros(1, 3))
+        cell.step(&Tensor::ones(&[1, 2]), &mut LstmState::zeros(1, 3))
             .unwrap();
         let err = cell
-            .step(&Tensor::ones(&[2, 2]), &LstmState::zeros(2, 3))
+            .step(&Tensor::ones(&[2, 2]), &mut LstmState::zeros(2, 3))
             .unwrap_err();
         assert!(matches!(err, NeuralError::BadInputShape { .. }), "{err}");
         assert_eq!(cell.recorded_steps(), 1);
         // a new episode may use a new batch size
         cell.clear_cache();
-        cell.step(&Tensor::ones(&[2, 2]), &LstmState::zeros(2, 3))
+        cell.step(&Tensor::ones(&[2, 2]), &mut LstmState::zeros(2, 3))
             .unwrap();
+        assert_eq!(cell.recorded_steps(), 1);
+    }
+
+    #[test]
+    fn step_rejects_a_state_that_is_not_the_previous_output() {
+        let mut rng = SeededRng::new(14);
+        let mut cell = LstmCell::new(2, 3, &mut rng).unwrap();
+        let x = Tensor::ones(&[1, 2]);
+        let mut first = LstmState::zeros(1, 3);
+        cell.step(&x, &mut first).unwrap();
+        let mut second = first.clone();
+        cell.step(&x, &mut second).unwrap();
+        assert_eq!(cell.recorded_steps(), 2);
+        let mut stale = first.clone();
+        let err = cell.step(&x, &mut stale).unwrap_err();
+        assert!(
+            matches!(err, NeuralError::UnchainedStep { recorded: 2, .. }),
+            "{err}"
+        );
+        assert_eq!(cell.recorded_steps(), 2);
+        assert_eq!(stale.h.as_slice(), first.h.as_slice(), "state untouched");
+        // a state that differs only in the cell half is not chained either
+        let mut cell_only = second.clone();
+        cell_only.c.as_mut_slice()[1] += 1.0;
+        assert!(matches!(
+            cell.step(&x, &mut cell_only).unwrap_err(),
+            NeuralError::UnchainedStep { .. }
+        ));
+        assert_eq!(cell.recorded_steps(), 2);
+        // the real output still chains, and a new episode may start anywhere
+        cell.step(&x, &mut second).unwrap();
+        assert_eq!(cell.recorded_steps(), 3);
+        cell.clear_cache();
+        cell.step(&x, &mut first).unwrap();
         assert_eq!(cell.recorded_steps(), 1);
     }
 
@@ -622,7 +942,7 @@ mod tests {
     fn bptt_rejects_a_misshapen_hidden_gradient() {
         let mut rng = SeededRng::new(10);
         let mut cell = LstmCell::new(2, 3, &mut rng).unwrap();
-        cell.step(&Tensor::ones(&[2, 2]), &LstmState::zeros(2, 3))
+        cell.step(&Tensor::ones(&[2, 2]), &mut LstmState::zeros(2, 3))
             .unwrap();
         let err = cell
             .backward_through_time(&[Tensor::ones(&[1, 3])])
@@ -634,8 +954,8 @@ mod tests {
     fn bptt_rejects_wrong_gradient_count() {
         let mut rng = SeededRng::new(4);
         let mut cell = LstmCell::new(2, 2, &mut rng).unwrap();
-        let state = LstmState::zeros(1, 2);
-        cell.step(&Tensor::zeros(&[1, 2]), &state).unwrap();
+        let mut state = LstmState::zeros(1, 2);
+        cell.step(&Tensor::zeros(&[1, 2]), &mut state).unwrap();
         assert!(cell.backward_through_time(&[]).is_err());
     }
 

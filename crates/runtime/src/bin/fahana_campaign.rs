@@ -314,7 +314,7 @@ fn run(cli: Cli) -> Result<(), String> {
 
     eprintln!(
         "{:<40} {:>7} {:>7} {:>9} {:>9} {:>8}",
-        "scenario", "valid%", "best R", "wall ms", "hit-rate", "entries"
+        "scenario", "valid%", "best R", "wall ms", "hit-rate", "lookups"
     );
     for scenario in &outcome.scenarios {
         let best = scenario
