@@ -53,6 +53,35 @@ fn print_block(label: &str, monas: &SearchOutcome, fahana: &SearchOutcome) {
         "  frozen blocks: MONAS {} vs FaHaNa {} (of the MobileNetV2 backbone)",
         monas.frozen_blocks, fahana.frozen_blocks
     );
+    println!("Verdicts:");
+    verdict(
+        "FaHaNa's space is smaller",
+        fahana.space_log10_size < monas.space_log10_size,
+        format!(
+            "10^{:.0} vs 10^{:.0}",
+            fahana.space_log10_size, monas.space_log10_size
+        ),
+    );
+    verdict(
+        "FaHaNa's valid ratio is higher",
+        fahana.valid_ratio > monas.valid_ratio,
+        format!(
+            "{:.2}% vs {:.2}%",
+            fahana.valid_ratio * 100.0,
+            monas.valid_ratio * 100.0
+        ),
+    );
+    verdict(
+        "FaHaNa's modelled search is faster (speedup > 1)",
+        speedup > 1.0,
+        format!("{speedup:.2}x"),
+    );
+}
+
+/// Prints one paper claim with whether this run upholds it.
+fn verdict(claim: &str, holds: bool, measured: String) {
+    let mark = if holds { "pass" } else { "FAIL" };
+    println!("  {mark}  {claim}: {measured}");
 }
 
 fn main() {
@@ -77,7 +106,4 @@ fn main() {
         &monas_relaxed,
         &fahana_relaxed,
     );
-    println!();
-    println!("Shape to check: FaHaNa's space is orders of magnitude smaller, its valid ratio is");
-    println!("higher under both constraints, and its modelled search time is lower (speedup > 1).");
 }

@@ -40,30 +40,19 @@ impl Default for ControllerConfig {
 /// One sampled episode: the controller's architecture decisions plus the
 /// total log-probability of having sampled them.
 ///
-/// A sample returned by [`RnnController::sample_episode`] also carries what
-/// its forward pass computed, so that [`RnnController::update`] can
-/// backpropagate without running the episode again. That record is private,
-/// dies with the sample, and is ignored by `PartialEq` and `Debug`; the
-/// update only trusts it for the controller and weights it was taken with.
+/// A sample also carries what the forward pass that sampled it computed, so
+/// that [`RnnController::update`] backpropagates without running the episode
+/// again. Only [`RnnController::sample_episode`] makes samples. The record
+/// is private, dies with the sample, and is ignored by `PartialEq` and
+/// `Debug`; it is valid only for the controller and weights that took it,
+/// and only for the sampled actions.
 #[derive(Clone)]
 pub struct EpisodeSample {
     /// One categorical action per decision step.
     pub actions: Vec<usize>,
     /// Sum of the log-probabilities of the sampled actions.
     pub log_prob: f64,
-    record: Option<ForwardRecord>,
-}
-
-impl EpisodeSample {
-    /// A sample without a forward record (for example one built by hand);
-    /// [`RnnController::update`] replays its forward pass.
-    pub fn new(actions: Vec<usize>, log_prob: f64) -> Self {
-        EpisodeSample {
-            actions,
-            log_prob,
-            record: None,
-        }
-    }
+    record: ForwardRecord,
 }
 
 impl PartialEq for EpisodeSample {
@@ -81,12 +70,12 @@ impl fmt::Debug for EpisodeSample {
     }
 }
 
-/// What one forward pass over an episode computed.
+/// What the forward pass of a sampled episode computed.
 #[derive(Clone)]
 struct ForwardRecord {
     /// The weight generation of the controller that took the record.
     generation: Arc<()>,
-    /// The actions the record was taken with.
+    /// The actions that were sampled.
     actions: Vec<usize>,
     lstm: LstmRecord,
     /// Every step's action probabilities, concatenated in step order.
@@ -102,12 +91,12 @@ struct ForwardRecord {
 /// Updates follow the Monte-Carlo policy gradient of Eq. 2 with a discount
 /// and an EMA baseline.
 ///
-/// Sampling and the update share one forward routine. A sampled episode
+/// There is one forward routine and one backpropagation. A sampled episode
 /// keeps its [`LstmRecord`] and per-step probabilities, and the update
-/// backpropagates from them; it runs the forward routine again, with the
-/// episode's actions forced, only for a sample without a current record
-/// (built by hand, sampled by another controller, or sampled before an
-/// earlier update). Either way the gradients are bit-identical.
+/// backpropagates from them and from nothing else. A sample whose record
+/// cannot be trusted — sampled before an earlier update, sampled by another
+/// controller, or whose actions were edited after sampling — is rejected as
+/// [`FahanaError::InvalidEpisode`].
 #[derive(Debug)]
 pub struct RnnController {
     cardinalities: Vec<usize>,
@@ -125,8 +114,6 @@ pub struct RnnController {
     generation: Arc<()>,
     /// One-hot input of the current step, `(1, input_size)`.
     input: Tensor,
-    /// LSTM state of the current step.
-    state: LstmState,
     /// Head output of the current step (the first `card` entries).
     logits: Vec<f32>,
     /// Head input of a step during the update.
@@ -180,7 +167,6 @@ impl RnnController {
             updates: 0,
             generation: Arc::new(()),
             input: Tensor::zeros(&[1, input_size]),
-            state: LstmState::zeros(1, hidden),
             logits: vec![0.0; max_card],
             hidden: vec![0.0; hidden],
             dlogits: vec![0.0; max_card],
@@ -216,11 +202,10 @@ impl RnnController {
         x[index] = 1.0;
     }
 
-    /// Starts an episode: an empty LSTM record and a zero state.
-    fn begin_episode(&mut self) {
-        self.lstm.clear_cache();
-        self.state.h.as_mut_slice().fill(0.0);
-        self.state.c.as_mut_slice().fill(0.0);
+    /// Starts an LSTM episode from a zero state.
+    fn begin_episode(&mut self) -> Result<()> {
+        let zero = LstmState::zeros(1, self.config.hidden_size);
+        Ok(self.lstm.begin_episode(&zero)?)
     }
 
     /// Runs decision `step` after `previous` and writes its action
@@ -232,18 +217,21 @@ impl RnnController {
         probs: &mut [f32],
     ) -> Result<()> {
         self.input_for(previous);
-        self.lstm.step(&self.input, &mut self.state)?;
+        let h = self.lstm.step(&self.input)?;
         let logits = &mut self.logits[..probs.len()];
-        self.heads[step].forward_row_into(self.state.h.as_slice(), logits)?;
+        self.heads[step].forward_row_into(h, logits)?;
         kernels::softmax_into(logits, probs, 1, probs.len());
         Ok(())
     }
 
-    /// Runs one episode forward and returns it with its record. Actions are
-    /// sampled from the policy, or taken from `forced` (which leaves the
-    /// sampling stream untouched).
-    fn forward_episode(&mut self, forced: Option<&[usize]>) -> Result<EpisodeSample> {
-        self.begin_episode();
+    /// Samples one episode from the current policy.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layer errors (which indicate a programming error rather
+    /// than a recoverable condition).
+    pub fn sample_episode(&mut self) -> Result<EpisodeSample> {
+        self.begin_episode()?;
         let steps = self.cardinalities.len();
         let mut actions = Vec::with_capacity(steps);
         let mut probs = vec![0.0f32; self.cardinalities.iter().sum()];
@@ -255,10 +243,7 @@ impl RnnController {
             let step_probs = &mut probs[offset..offset + card];
             offset += card;
             self.forward_step(step, previous, step_probs)?;
-            let action = match forced {
-                Some(forced) => forced[step],
-                None => self.rng.sample_weighted(step_probs),
-            };
+            let action = self.rng.sample_weighted(step_probs);
             log_prob += (step_probs[action].max(1e-12) as f64).ln();
             actions.push(action);
             previous = Some(action);
@@ -272,37 +257,17 @@ impl RnnController {
         Ok(EpisodeSample {
             actions,
             log_prob,
-            record: Some(record),
+            record,
         })
-    }
-
-    /// Samples one episode from the current policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer errors (which indicate a programming error rather
-    /// than a recoverable condition).
-    pub fn sample_episode(&mut self) -> Result<EpisodeSample> {
-        self.forward_episode(None)
     }
 
     /// The probability distribution of the first decision (useful for tests
     /// and for inspecting what the controller has learned).
     pub fn first_step_distribution(&mut self) -> Result<Vec<f32>> {
-        self.begin_episode();
+        self.begin_episode()?;
         let mut probs = vec![0.0f32; self.cardinalities[0]];
         self.forward_step(0, None, &mut probs)?;
-        self.lstm.clear_cache();
         Ok(probs)
-    }
-
-    /// The record `sample` carries, if this controller can backpropagate
-    /// from it: taken by this controller, with its current weights, for the
-    /// sample's actions.
-    fn current_record<'a>(&self, sample: &'a EpisodeSample) -> Option<&'a ForwardRecord> {
-        sample.record.as_ref().filter(|record| {
-            Arc::ptr_eq(&record.generation, &self.generation) && record.actions == sample.actions
-        })
     }
 
     /// Applies one Monte-Carlo policy-gradient update (Eq. 2) from a batch
@@ -312,8 +277,10 @@ impl RnnController {
     ///
     /// Returns [`FahanaError::InvalidEpisode`] — before changing any state —
     /// if an episode's action count does not match the controller's decision
-    /// count, an action is outside its decision's choices, or a reward is
-    /// not finite.
+    /// count, an action is outside its decision's choices, a reward is not
+    /// finite, or the sample's record cannot be trusted: it was sampled
+    /// before an earlier update or by another controller, or its actions
+    /// were edited after sampling.
     pub fn update(&mut self, episodes: &[(EpisodeSample, f64)]) -> Result<()> {
         if episodes.is_empty() {
             return Ok(());
@@ -334,15 +301,7 @@ impl RnnController {
         }
         for (sample, reward) in episodes {
             let advantage = self.baseline.advantage(*reward) as f32;
-            let replayed;
-            let record = match self.current_record(sample) {
-                Some(record) => record,
-                None => {
-                    replayed = self.forward_episode(Some(&sample.actions))?;
-                    replayed.record.as_ref().expect("a forward pass records")
-                }
-            };
-            self.backpropagate(record, advantage, batch)?;
+            self.backpropagate(&sample.record, advantage, batch)?;
         }
         self.lstm_optimizer.step(&mut self.lstm);
         for (head, optimizer) in self.heads.iter_mut().zip(self.head_optimizers.iter_mut()) {
@@ -403,6 +362,12 @@ impl RnnController {
         }
         if !reward.is_finite() {
             return Err(format!("reward {reward} is not finite"));
+        }
+        if !Arc::ptr_eq(&sample.record.generation, &self.generation) {
+            return Err("sampled before an earlier update or by another controller".into());
+        }
+        if sample.record.actions != sample.actions {
+            return Err("actions were edited after sampling".into());
         }
         Ok(())
     }
@@ -482,77 +447,6 @@ mod tests {
         assert!(ctrl.baseline() > 0.0);
     }
 
-    #[test]
-    fn update_rejects_mismatched_episodes() {
-        let mut ctrl = controller(vec![4, 3], 5);
-        let bad = EpisodeSample::new(vec![0], -1.0);
-        assert!(ctrl.update(&[(bad, 1.0)]).is_err());
-        assert!(ctrl.update(&[]).is_ok());
-    }
-
-    fn episode(actions: Vec<usize>) -> EpisodeSample {
-        EpisodeSample::new(actions, -1.0)
-    }
-
-    #[test]
-    fn rejected_update_leaves_the_baseline_and_policy_untouched() {
-        let mut ctrl = controller(vec![4, 3], 11);
-        let mut twin = controller(vec![4, 3], 11);
-        let batch = [(episode(vec![1, 2]), 5.0), (episode(vec![1]), 1.0)];
-        let err = ctrl.update(&batch).unwrap_err();
-        assert_eq!(ctrl.baseline(), 0.0);
-        assert_eq!(ctrl.update_count(), 0);
-        assert!(
-            matches!(err, FahanaError::InvalidEpisode { episode: 1, .. }),
-            "{err}"
-        );
-        assert_eq!(
-            ctrl.first_step_distribution().unwrap(),
-            twin.first_step_distribution().unwrap()
-        );
-        // the next valid update sees the same state as a fresh controller
-        let good = [(episode(vec![1, 2]), 5.0)];
-        ctrl.update(&good).unwrap();
-        twin.update(&good).unwrap();
-        assert_eq!(ctrl.baseline(), twin.baseline());
-        assert_eq!(
-            ctrl.first_step_distribution().unwrap(),
-            twin.first_step_distribution().unwrap()
-        );
-    }
-
-    #[test]
-    fn update_rejects_an_action_outside_its_cardinality() {
-        let mut ctrl = controller(vec![4, 3], 12);
-        let err = ctrl.update(&[(episode(vec![9, 0]), 1.0)]).unwrap_err();
-        assert!(
-            matches!(err, FahanaError::InvalidEpisode { episode: 0, .. }),
-            "{err}"
-        );
-        assert!(err.to_string().contains("action 9"), "{err}");
-        assert_eq!(ctrl.baseline(), 0.0);
-    }
-
-    #[test]
-    fn update_rejects_a_non_finite_reward() {
-        let mut ctrl = controller(vec![4, 3], 13);
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = ctrl
-                .update(&[(episode(vec![0, 1]), 1.0), (episode(vec![2, 0]), bad)])
-                .unwrap_err();
-            assert!(
-                matches!(err, FahanaError::InvalidEpisode { episode: 1, .. }),
-                "{err}"
-            );
-        }
-        assert_eq!(ctrl.baseline(), 0.0);
-        assert!(ctrl
-            .first_step_distribution()
-            .unwrap()
-            .iter()
-            .all(|p| p.is_finite()));
-    }
-
     /// A deterministic reward that depends on every action.
     fn reward_of(sample: &EpisodeSample) -> f64 {
         let score: usize = sample
@@ -574,88 +468,111 @@ mod tests {
             .collect()
     }
 
-    /// The same episodes without their forward records.
-    fn without_records(batch: &[(EpisodeSample, f64)]) -> Vec<(EpisodeSample, f64)> {
-        batch
-            .iter()
-            .map(|(s, r)| (EpisodeSample::new(s.actions.clone(), s.log_prob), *r))
-            .collect()
-    }
-
     fn first_step_bits(ctrl: &mut RnnController) -> Vec<u32> {
         let probs = ctrl.first_step_distribution().unwrap();
         probs.iter().map(|p| p.to_bits()).collect()
     }
 
-    fn log_prob_bits(batch: &[(EpisodeSample, f64)]) -> Vec<u64> {
-        batch.iter().map(|(s, _)| s.log_prob.to_bits()).collect()
+    #[test]
+    fn update_rejects_mismatched_episodes() {
+        let mut ctrl = controller(vec![4, 3], 5);
+        let mut bad = ctrl.sample_episode().unwrap();
+        bad.actions.truncate(1);
+        let err = ctrl.update(&[(bad, 1.0)]).unwrap_err();
+        assert!(err.to_string().contains("1 actions"), "{err}");
+        assert!(ctrl.update(&[]).is_ok());
     }
 
     #[test]
-    fn an_update_from_records_is_bit_identical_to_a_replayed_one() {
-        let cards = vec![4, 3, 7, 8, 2, 4, 3, 7, 8, 2];
-        let mut recorded = controller(cards.clone(), 21);
-        let mut replayed = controller(cards, 21);
-        for round in 0..4 {
-            let batch = sample_chunk(&mut recorded, 4);
-            let twin = without_records(&sample_chunk(&mut replayed, 4));
-            assert_eq!(batch, twin, "round {round}: records are invisible to ==");
-            assert!(batch
-                .iter()
-                .all(|(s, _)| recorded.current_record(s).is_some()));
-            assert!(twin
-                .iter()
-                .all(|(s, _)| replayed.current_record(s).is_none()));
-            recorded.update(&batch).unwrap();
-            replayed.update(&twin).unwrap();
-            assert_eq!(
-                first_step_bits(&mut recorded),
-                first_step_bits(&mut replayed),
-                "round {round}"
+    fn rejected_update_leaves_the_baseline_and_policy_untouched() {
+        let mut ctrl = controller(vec![4, 3], 11);
+        let mut twin = controller(vec![4, 3], 11);
+        let mut batch = sample_chunk(&mut ctrl, 2);
+        let twin_batch = sample_chunk(&mut twin, 2);
+        batch[1].0.actions.pop();
+        let err = ctrl.update(&batch).unwrap_err();
+        assert_eq!(ctrl.baseline(), 0.0);
+        assert_eq!(ctrl.update_count(), 0);
+        assert!(
+            matches!(err, FahanaError::InvalidEpisode { episode: 1, .. }),
+            "{err}"
+        );
+        assert_eq!(first_step_bits(&mut ctrl), first_step_bits(&mut twin));
+        // the next valid update sees the same state as a fresh controller
+        ctrl.update(&batch[..1]).unwrap();
+        twin.update(&twin_batch[..1]).unwrap();
+        assert_eq!(ctrl.baseline(), twin.baseline());
+        assert_eq!(first_step_bits(&mut ctrl), first_step_bits(&mut twin));
+    }
+
+    #[test]
+    fn update_rejects_an_action_outside_its_cardinality() {
+        let mut ctrl = controller(vec![4, 3], 12);
+        let mut sample = ctrl.sample_episode().unwrap();
+        sample.actions[0] = 9;
+        let err = ctrl.update(&[(sample, 1.0)]).unwrap_err();
+        assert!(
+            matches!(err, FahanaError::InvalidEpisode { episode: 0, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("action 9"), "{err}");
+        assert_eq!(ctrl.baseline(), 0.0);
+    }
+
+    #[test]
+    fn update_rejects_a_non_finite_reward() {
+        let mut ctrl = controller(vec![4, 3], 13);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut batch = sample_chunk(&mut ctrl, 2);
+            batch[1].1 = bad;
+            let err = ctrl.update(&batch).unwrap_err();
+            assert!(
+                matches!(err, FahanaError::InvalidEpisode { episode: 1, .. }),
+                "{err}"
             );
         }
-        assert_eq!(
-            log_prob_bits(&sample_chunk(&mut recorded, 4)),
-            log_prob_bits(&sample_chunk(&mut replayed, 4))
-        );
+        assert_eq!(ctrl.baseline(), 0.0);
+        assert!(ctrl
+            .first_step_distribution()
+            .unwrap()
+            .iter()
+            .all(|p| p.is_finite()));
     }
 
     #[test]
-    fn stale_and_foreign_records_are_replayed_not_trusted() {
+    fn stale_foreign_and_edited_samples_are_rejected() {
         let cards = vec![4, 3, 5, 2];
         let mut ctrl = controller(cards.clone(), 22);
         let mut twin = controller(cards, 22);
-        let early = ctrl.sample_episode().unwrap();
-        assert_eq!(twin.sample_episode().unwrap(), early);
+        let stale = ctrl.sample_episode().unwrap();
         let batch = sample_chunk(&mut ctrl, 3);
         ctrl.update(&batch).unwrap();
-        let twin_batch = without_records(&sample_chunk(&mut twin, 3));
-        twin.update(&twin_batch).unwrap();
-
-        // recorded before the last update: replayed with the new weights
-        assert!(ctrl.current_record(&early).is_none());
-        let stale = [(early, 0.7)];
-        ctrl.update(&stale).unwrap();
-        twin.update(&without_records(&stale)).unwrap();
-        assert_eq!(first_step_bits(&mut ctrl), first_step_bits(&mut twin));
-
-        // recorded by a controller with the same seed and update count
-        let own = ctrl.sample_episode().unwrap();
+        // the same seed and update count, so the twin's sample is equal
+        twin.sample_episode().unwrap();
+        let batch = sample_chunk(&mut twin, 3);
+        twin.update(&batch).unwrap();
         let foreign = twin.sample_episode().unwrap();
+        let own = ctrl.sample_episode().unwrap();
         assert_eq!(own, foreign);
-        assert_eq!(ctrl.update_count(), twin.update_count());
-        assert!(ctrl.current_record(&own).is_some());
-        assert!(ctrl.current_record(&foreign).is_none());
-        assert!(twin.current_record(&own).is_none());
-
-        // a record no longer matches actions edited after sampling
         let mut edited = own.clone();
-        assert!(ctrl.current_record(&edited).is_some());
         edited.actions[0] = (edited.actions[0] + 1) % 4;
-        assert!(ctrl.current_record(&edited).is_none());
-        ctrl.update(&[(edited.clone(), 0.4)]).unwrap();
-        twin.update(&without_records(&[(edited, 0.4)])).unwrap();
-        assert_eq!(first_step_bits(&mut ctrl), first_step_bits(&mut twin));
+
+        let baseline = ctrl.baseline();
+        let bits = first_step_bits(&mut ctrl);
+        for (case, sample) in [("stale", stale), ("foreign", foreign), ("edited", edited)] {
+            let batch = [(own.clone(), 0.3), (sample, 0.7)];
+            let err = ctrl.update(&batch).unwrap_err();
+            assert!(
+                matches!(err, FahanaError::InvalidEpisode { episode: 1, .. }),
+                "{case}: {err}"
+            );
+            assert_eq!(ctrl.baseline().to_bits(), baseline.to_bits(), "{case}");
+            assert_eq!(ctrl.update_count(), 1, "{case}");
+            assert_eq!(first_step_bits(&mut ctrl), bits, "{case}");
+        }
+        // the controller's own current sample is still accepted
+        ctrl.update(&[(own, 0.3)]).unwrap();
+        assert_eq!(ctrl.update_count(), 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::Result;
 #[derive(Debug, Clone, Default)]
 pub struct MonasConfig {
     /// The underlying search settings (the `use_freezing` flag is ignored
-    /// and forced to `false`).
+    /// and always `false`).
     pub base: FahanaConfig,
 }
 

@@ -5,8 +5,8 @@ use archspace::{zoo, Architecture, SearchSpace, SpaceConfig};
 use dermsim::{Dataset, DermatologyConfig, DermatologyGenerator};
 use edgehw::{DeviceProfile, SharedBlockLatencyTable};
 use evaluator::{
-    feature_variation_by_block, EvalRequest, Evaluate, EvaluateBatch, SearchCostConfig,
-    SearchCostModel, SurrogateEvaluator,
+    feature_variation_by_block, EvalRequest, EvaluateBatch, SearchCostConfig, SearchCostModel,
+    SurrogateEvaluator,
 };
 
 use crate::controller::{ControllerConfig, EpisodeSample, RnnController};
@@ -195,11 +195,12 @@ impl SearchOutcome {
 
 /// The FaHaNa search engine with the default surrogate evaluator.
 ///
-/// The engine is generic in spirit — [`FahanaSearch::run_with_evaluator`]
-/// accepts any [`Evaluate`] implementation and
-/// [`FahanaSearch::run_with_batch_evaluator`] any [`EvaluateBatch`] stage —
-/// while [`FahanaSearch::run`] uses the calibrated surrogate, which is what
-/// all the benches use.
+/// The engine is generic in spirit —
+/// [`FahanaSearch::run_with_batch_evaluator`] accepts any [`EvaluateBatch`]
+/// stage, which includes every [`Evaluate`](evaluator::Evaluate)
+/// implementation — while
+/// [`FahanaSearch::run`] uses the calibrated surrogate, which is what all
+/// the benches use.
 ///
 /// Episodes are processed in controller-update-sized chunks: the chunk is
 /// sampled sequentially (the controller RNN owns the only RNG stream), its
@@ -362,22 +363,12 @@ impl FahanaSearch {
     /// Propagates controller or evaluation failures.
     pub fn run(mut self) -> Result<SearchOutcome> {
         let mut surrogate = self.surrogate.clone();
-        self.run_with_evaluator(&mut surrogate)
+        self.run_with_batch_evaluator(&mut surrogate)
     }
 
-    /// Runs the search with a caller-supplied evaluation back-end.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller failures. A failure to evaluate an individual
-    /// child does not abort the run — that episode is recorded as invalid
-    /// with reward −1, mirroring how constraint-violating children are
-    /// treated.
-    pub fn run_with_evaluator<E: Evaluate>(&mut self, evaluator: &mut E) -> Result<SearchOutcome> {
-        self.run_with_batch_evaluator(evaluator)
-    }
-
-    /// Runs the search with a caller-supplied *batch* evaluation stage.
+    /// Runs the search with a caller-supplied *batch* evaluation stage; any
+    /// [`Evaluate`](evaluator::Evaluate) back-end is one through the
+    /// blanket [`EvaluateBatch`] impl.
     ///
     /// Each controller-update chunk is sampled sequentially, gated against
     /// the hardware specification, and the surviving children are handed to
@@ -593,6 +584,7 @@ impl FahanaSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evaluator::Evaluate;
 
     fn small_config(episodes: usize, seed: u64) -> FahanaConfig {
         FahanaConfig {

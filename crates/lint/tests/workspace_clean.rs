@@ -34,7 +34,7 @@ fn workspace_is_lint_clean() {
     );
     // every waiver in the tree is consumed (stale ones are errors) and
     // carries a reason (reasonless ones are waiver-syntax errors) — both
-    // already enforced by exit status; spot-check the report shape too.
+    // already checked by exit status; spot-check the report shape too.
     assert!(
         !stdout.contains("\"used\":false"),
         "report carries a stale waiver:\n{stdout}"

@@ -24,14 +24,6 @@ pub enum NeuralError {
         /// Name of the layer reporting the problem.
         layer: String,
     },
-    /// A recurrent step was given a state that is not the output of the
-    /// previous recorded step of its episode.
-    UnchainedStep {
-        /// Name of the layer reporting the problem.
-        layer: String,
-        /// Number of steps already recorded in the episode.
-        recorded: usize,
-    },
     /// A configuration value was invalid (zero dimension, bad kernel, …).
     InvalidConfig(String),
     /// Labels and predictions disagree in length, or a label is out of range.
@@ -58,10 +50,6 @@ impl fmt::Display for NeuralError {
             NeuralError::MissingForwardCache { layer } => {
                 write!(f, "layer {layer} backward called before forward")
             }
-            NeuralError::UnchainedStep { layer, recorded } => write!(
-                f,
-                "layer {layer}: the state given to step {recorded} is not the previous step's output"
-            ),
             NeuralError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             NeuralError::LabelMismatch {
                 predictions,

@@ -10,8 +10,9 @@
 //! * containers — [`Sequential`] and residual wrappers — with parameter
 //!   freezing (the producer's freezing method needs to mark header layers as
 //!   non-trainable);
-//! * the [`LstmCell`] used by the NAS controller, with full
-//!   backpropagation-through-time support;
+//! * the [`LstmCell`] used by the NAS controller: it owns the recurrent
+//!   state of an episode, records every step in one arena, and has a single
+//!   backpropagation-through-time pass over a recorded episode;
 //! * losses ([`softmax_cross_entropy`]) and optimizers ([`Sgd`], [`Adam`]);
 //! * a small supervised [`Trainer`] used by the trained evaluator.
 //!

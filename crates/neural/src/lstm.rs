@@ -30,54 +30,56 @@ impl LstmState {
 /// architecture decision per step and is updated with the Monte-Carlo policy
 /// gradient of Eq. 2. That update needs gradients of the log-probabilities
 /// with respect to the recurrent parameters across the whole episode, so
-/// [`LstmCell::step`] records what backpropagation needs and
-/// [`LstmCell::backward_through_time`] replays it.
+/// every [`LstmCell::step`] records what backpropagation needs, and
+/// [`LstmCell::backward_record`] backpropagates a recorded episode.
 ///
 /// Gate layout in the packed weight matrices is `[input, forget, cell, output]`.
 ///
-/// # Step arena
+/// # Episodes and the step arena
 ///
-/// The record of an episode is one flat `f32` arena, an [`LstmRecord`]. The
-/// first step stores the episode's initial state `[h_0 | c_0]` once; every
-/// step then appends `[x | gates | tanh(c_new)]`, where `gates` holds the
-/// activated gates of every batch row in the packed layout above (so for
-/// batch 1 a step is `[x | i | f | g | o | tanh(c)]`, `input + 5·hidden`
-/// floats). The state a step consumed is not stored: backpropagation
-/// rebuilds it from the steps before, with the forward pass's own
-/// expressions `c_prev = f·c_prev + i·g` and `h_prev = o·tanh(c)`, so the
-/// rebuilt values are bit-identical to the ones the step saw.
+/// The cell owns the recurrent state of its episode.
+/// [`LstmCell::begin_episode`] takes the initial `(h_0, c_0)` and fixes the
+/// episode's batch size; each [`LstmCell::step`] then consumes one
+/// `(batch, input)` input, advances the state and returns the new `h`. No
+/// caller hands a state back, so every step continues from the previous
+/// step's output by construction.
 ///
-/// That rebuild is only valid if every step continues from the previous
-/// step's output, so the cell enforces the chaining rule: after the first
-/// step of an episode, a step whose state is not bit-identical to the
-/// previous step's output is a [`NeuralError::UnchainedStep`] error, and
-/// every step must use the batch size of the first one (a
-/// [`NeuralError::BadInputShape`] error otherwise). Neither error records
-/// anything, and [`Layer::forward`] starts a new episode so it never breaks
-/// the rule. [`LstmCell::clear_cache`] starts a new episode and keeps the
-/// arena's capacity, so after the first episode a step allocates nothing.
-/// [`LstmCell::take_record`] moves an episode out of
-/// the cell so it can be backpropagated later with
+/// The record of an episode is one flat `f32` arena, an [`LstmRecord`]. It
+/// stores the initial state `[h_0 | c_0]` once; every step then appends
+/// `[x | gates | tanh(c_new)]`, where `gates` holds the activated gates of
+/// every batch row in the packed layout above (so for batch 1 a step is
+/// `[x | i | f | g | o | tanh(c)]`, `input + 5·hidden` floats). The state a
+/// step consumed is not stored: backpropagation rebuilds it from the steps
+/// before, with the forward pass's own expressions `c_prev = f·c_prev + i·g`
+/// and `h_prev = o·tanh(c)`, so the rebuilt values are bit-identical to the
+/// ones the step saw. `begin_episode` keeps the arena's capacity, so after
+/// the first episode a step allocates nothing. [`LstmCell::take_record`]
+/// moves an episode out of the cell so it can be backpropagated later with
 /// [`LstmCell::backward_record`], as long as the weights have not changed;
 /// the next episode then allocates one arena of the taken one's length.
 ///
 /// # Backpropagation and bit identity
 ///
-/// Backpropagation transposes the recurrent weights into a buffer the cell
-/// reuses, walks the arena backwards with one fused elementwise loop (the
-/// same operations, in the same order, as the textbook per-step tensor
-/// formulation), and stacks the per-step pre-activation gradients in
-/// reverse step order. The weight and bias gradients (and, for
-/// [`LstmCell::backward_through_time`], the input gradients) are then
-/// computed from that stack with one [`kernels::matmul_into`] /
-/// [`kernels::sum_axis0_into`] each, straight into the gradient tensors.
-/// Those kernels add one term at a time in ascending row order, so at batch
-/// 1 every gradient element receives exactly the additions, in the same
-/// order, that a per-step `grad += xᵀ·d_gates` gives: results are
-/// bit-identical to the step-by-step formulation, which the controller
-/// trajectory golden pins. At batch > 1 the per-step sum across batch rows
-/// is reassociated into the running gradient, so only agreement with
-/// finite differences is promised there.
+/// There is one backpropagation pass. It transposes the recurrent weights
+/// into a buffer the cell reuses, walks the arena backwards with one fused
+/// elementwise loop (the same operations, in the same order, as the
+/// textbook per-step tensor formulation), and stacks the per-step
+/// pre-activation gradients in reverse step order. The weight and bias
+/// gradients are then computed from that stack with one
+/// [`kernels::matmul_into`] / [`kernels::sum_axis0_into`] each, straight
+/// into the gradient tensors. Those kernels add one term at a time in
+/// ascending row order, so at batch 1 every gradient element receives
+/// exactly the additions, in the same order, that a per-step
+/// `grad += xᵀ·d_gates` gives: results are bit-identical to the
+/// step-by-step formulation, which the controller trajectory golden pins.
+/// At batch > 1 the per-step sum across batch rows is reassociated into the
+/// running gradient, so only agreement with finite differences is promised
+/// there.
+///
+/// The pass computes no input gradients: the controller's inputs are
+/// one-hot encodings of its own decisions. [`Layer::backward`] returns
+/// `dL/dx` of the last step only, with one `(batch × 4h)·Wxᵀ` product from
+/// the first rows of the stack.
 ///
 /// # Example
 ///
@@ -88,10 +90,10 @@ impl LstmState {
 ///
 /// let mut rng = SeededRng::new(0);
 /// let mut cell = LstmCell::new(8, 16, &mut rng)?;
-/// let mut state = LstmState::zeros(1, 16);
-/// cell.step(&Tensor::zeros(&[1, 8]), &mut state)?;
-/// cell.step(&Tensor::ones(&[1, 8]), &mut state)?;
-/// assert_eq!(state.h.dims(), &[1, 16]);
+/// cell.begin_episode(&LstmState::zeros(1, 16))?;
+/// cell.step(&Tensor::zeros(&[1, 8]))?;
+/// let h = cell.step(&Tensor::ones(&[1, 8]))?;
+/// assert_eq!(h.len(), 16);
 /// assert_eq!(cell.recorded_steps(), 2);
 /// # Ok(())
 /// # }
@@ -108,9 +110,10 @@ pub struct LstmCell {
     hidden_size: usize,
     /// The current episode (see the type docs).
     record: LstmRecord,
-    /// Output state of the last recorded step, for the chaining rule.
-    last_h: Vec<f32>,
-    last_c: Vec<f32>,
+    /// State of the current episode after its last step, `(batch, hidden)`
+    /// row-major.
+    state_h: Vec<f32>,
+    state_c: Vec<f32>,
     /// Arena length of the last record taken out, reserved for the next.
     arena_hint: usize,
     /// Reused `h·Wh` product of [`LstmCell::step`].
@@ -242,8 +245,8 @@ impl LstmCell {
             input_size,
             hidden_size,
             record: LstmRecord::empty(input_size, hidden_size),
-            last_h: Vec::new(),
-            last_c: Vec::new(),
+            state_h: Vec::new(),
+            state_c: Vec::new(),
             arena_hint: 0,
             hidden_product: Vec::new(),
             bptt: BpttScratch::default(),
@@ -261,81 +264,78 @@ impl LstmCell {
         self.input_size
     }
 
-    /// Number of recorded steps since the last [`LstmCell::clear_cache`].
+    /// Number of steps recorded in the current episode.
     pub fn recorded_steps(&self) -> usize {
         self.record.steps
     }
 
-    /// Discards the recorded steps (call at the start of each episode). The
-    /// arena keeps its capacity for the next episode.
-    pub fn clear_cache(&mut self) {
-        self.record.arena.clear();
-        self.record.steps = 0;
+    /// Starts an episode from `initial`, discarding the recorded steps of
+    /// the last one. Every step of the episode uses `initial`'s batch size.
+    /// The arena keeps its capacity.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error, and changes nothing, unless `initial.h` and
+    /// `initial.c` are both `(batch, hidden_size)` with `batch ≥ 1`.
+    pub fn begin_episode(&mut self, initial: &LstmState) -> Result<()> {
+        let batch = initial.h.dims().first().copied().unwrap_or(0);
+        for part in [&initial.h, &initial.c] {
+            if batch == 0 || part.dims() != [batch, self.hidden_size] {
+                return Err(NeuralError::BadInputShape {
+                    layer: "lstm-state".into(),
+                    expected: format!("(batch ≥ 1, {}) for both h and c", self.hidden_size),
+                    actual: part.dims().to_vec(),
+                });
+            }
+        }
+        let record = &mut self.record;
+        record.batch = batch;
+        record.steps = 0;
+        record.arena.clear();
+        record.arena.reserve_exact(self.arena_hint);
+        record.arena.extend_from_slice(initial.h.as_slice());
+        record.arena.extend_from_slice(initial.c.as_slice());
+        self.state_h.clear();
+        self.state_h.extend_from_slice(initial.h.as_slice());
+        self.state_c.clear();
+        self.state_c.extend_from_slice(initial.c.as_slice());
+        Ok(())
     }
 
     /// Moves the recorded episode out of the cell, for a later
-    /// [`LstmCell::backward_record`]. The next episode's first step
-    /// allocates a new arena of the taken one's length.
+    /// [`LstmCell::backward_record`], and ends the episode. The next
+    /// episode allocates a new arena of the taken one's length.
     pub fn take_record(&mut self) -> LstmRecord {
         self.arena_hint = self.record.arena.len();
         let next = LstmRecord::empty(self.input_size, self.hidden_size);
         std::mem::replace(&mut self.record, next)
     }
 
-    /// Runs one LSTM step, records it in the arena for BPTT and overwrites
-    /// `state` with the next state.
+    /// Runs one step of the current episode: records it in the arena,
+    /// advances the cell's state and returns the new hidden state,
+    /// `(batch, hidden_size)` row-major.
     ///
     /// # Errors
     ///
-    /// Returns a shape error if `x` is not `(batch, input_size)`, the state
-    /// widths do not match the cell, or `batch` differs from the batch of
-    /// the steps already recorded this episode, and
-    /// [`NeuralError::UnchainedStep`] if steps are recorded and `state` is
-    /// not the last one's output. On error nothing is recorded and `state`
-    /// is unchanged.
-    pub fn step(&mut self, x: &Tensor, state: &mut LstmState) -> Result<()> {
-        let (batch, in_features) = x.shape().as_matrix()?;
-        if in_features != self.input_size {
+    /// Returns [`NeuralError::InvalidConfig`] outside an episode (before
+    /// [`LstmCell::begin_episode`] or after [`LstmCell::take_record`]), and
+    /// a shape error if `x` is not `(batch, input_size)` for the episode's
+    /// batch. On error nothing is recorded and the state is unchanged.
+    pub fn step(&mut self, x: &Tensor) -> Result<&[f32]> {
+        let (batch, h, input) = (self.record.batch, self.hidden_size, self.input_size);
+        if self.record.arena.is_empty() {
+            return Err(NeuralError::InvalidConfig(
+                "lstm step outside an episode: begin_episode starts one".into(),
+            ));
+        }
+        if x.dims() != [batch, input] {
             return Err(NeuralError::BadInputShape {
                 layer: "lstm".into(),
-                expected: format!("(batch, {})", self.input_size),
+                expected: format!("({batch}, {input}): the batch of this episode"),
                 actual: x.dims().to_vec(),
             });
         }
-        if state.h.dims() != [batch, self.hidden_size]
-            || state.c.dims() != [batch, self.hidden_size]
-        {
-            return Err(NeuralError::BadInputShape {
-                layer: "lstm-state".into(),
-                expected: format!("({batch}, {})", self.hidden_size),
-                actual: state.h.dims().to_vec(),
-            });
-        }
-        let (h, input) = (self.hidden_size, self.input_size);
         let record = &mut self.record;
-        if record.steps == 0 {
-            record.batch = batch;
-            record.arena.clear();
-            record.arena.reserve_exact(self.arena_hint);
-            record.arena.extend_from_slice(state.h.as_slice());
-            record.arena.extend_from_slice(state.c.as_slice());
-        } else if batch != record.batch {
-            return Err(NeuralError::BadInputShape {
-                layer: "lstm".into(),
-                expected: format!(
-                    "({}, {input}): the batch of this episode's recorded steps",
-                    record.batch
-                ),
-                actual: x.dims().to_vec(),
-            });
-        } else if !same_bits(state.h.as_slice(), &self.last_h)
-            || !same_bits(state.c.as_slice(), &self.last_c)
-        {
-            return Err(NeuralError::UnchainedStep {
-                layer: "lstm".into(),
-                recorded: record.steps,
-            });
-        }
         let start = record.arena.len();
         record.arena.extend_from_slice(x.as_slice());
         record.arena.resize(start + record.step_len(), 0.0);
@@ -352,7 +352,7 @@ impl LstmCell {
         );
         refill(&mut self.hidden_product, batch * 4 * h);
         kernels::matmul_into(
-            state.h.as_slice(),
+            &self.state_h,
             self.weight_h.as_slice(),
             &mut self.hidden_product,
             batch,
@@ -360,7 +360,6 @@ impl LstmCell {
             4 * h,
         );
         let bias = self.bias.as_slice();
-        let (h_out, c_out) = (state.h.as_mut_slice(), state.c.as_mut_slice());
         for (b, (row, hw)) in gates
             .chunks_exact_mut(4 * h)
             .zip(self.hidden_product.chunks_exact(4 * h))
@@ -377,8 +376,8 @@ impl LstmCell {
             let (i, f, g, o) = split_gates(row, h);
             let rows = b * h..(b + 1) * h;
             let (c, h_new, tanh_c) = (
-                &mut c_out[rows.clone()],
-                &mut h_out[rows.clone()],
+                &mut self.state_c[rows.clone()],
+                &mut self.state_h[rows.clone()],
                 &mut tanh_c[rows],
             );
             for j in 0..h {
@@ -388,61 +387,12 @@ impl LstmCell {
             }
         }
         record.steps += 1;
-        self.last_h.clear();
-        self.last_h.extend_from_slice(h_out);
-        self.last_c.clear();
-        self.last_c.extend_from_slice(c_out);
-        Ok(())
-    }
-
-    /// Backpropagates through every recorded step.
-    ///
-    /// `grad_h` supplies `dL/dh_t` for each recorded step, in step order
-    /// (entries may be zero tensors for steps without a direct loss
-    /// contribution). Parameter gradients are accumulated into the cell;
-    /// the returned vector holds `dL/dx_t` per step.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `grad_h.len()` differs from the number of
-    /// recorded steps or an entry is not `(batch, hidden_size)`.
-    pub fn backward_through_time(&mut self, grad_h: &[Tensor]) -> Result<Vec<Tensor>> {
-        let (steps, batch, h) = (self.record.steps, self.record.batch, self.hidden_size);
-        if grad_h.len() != steps {
-            return Err(NeuralError::InvalidConfig(format!(
-                "got {} hidden gradients for {steps} recorded steps",
-                grad_h.len()
-            )));
-        }
-        if let Some(bad) = grad_h.iter().find(|g| g.dims() != [batch, h]) {
-            return Err(NeuralError::BadInputShape {
-                layer: "lstm-bptt".into(),
-                expected: format!("({batch}, {h})"),
-                actual: bad.dims().to_vec(),
-            });
-        }
-        if steps == 0 {
-            return Ok(Vec::new());
-        }
-        let flat: Vec<f32> = grad_h.iter().flat_map(|g| g.as_slice()).copied().collect();
-        let record = std::mem::take(&mut self.record);
-        let mut grad_x = Vec::new();
-        let result = self.bptt(&record, &flat, Some(&mut grad_x));
-        self.record = record;
-        result?;
-        // the rows of `grad_x` are in reverse step order
-        let width = batch * self.input_size;
-        grad_x
-            .chunks_exact(width)
-            .rev()
-            .map(|g| Ok(Tensor::from_vec(g.to_vec(), &[batch, self.input_size])?))
-            .collect()
+        Ok(&self.state_h)
     }
 
     /// Backpropagates through an episode taken out of this cell with
-    /// [`LstmCell::take_record`], accumulating the parameter gradients
-    /// without computing the input gradients. The record must have been
-    /// taken with the current weights.
+    /// [`LstmCell::take_record`], accumulating the parameter gradients. The
+    /// record must have been taken with the current weights.
     ///
     /// `grad_h` holds `dL/dh_t` for every step in step order, each
     /// `(batch, hidden_size)` row-major, concatenated.
@@ -465,18 +415,13 @@ impl LstmCell {
                 grad_h.len()
             )));
         }
-        self.bptt(record, grad_h, None)
+        self.bptt(record, grad_h)
     }
 
     /// Backpropagation proper (see the type docs); `grad_h` is validated.
-    /// Writes the input gradients, rows in reverse step order, to `grad_x`
-    /// when it is given.
-    fn bptt(
-        &mut self,
-        record: &LstmRecord,
-        grad_h: &[f32],
-        grad_x: Option<&mut Vec<f32>>,
-    ) -> Result<()> {
+    /// Leaves the pre-activation gradients of every step in
+    /// `self.bptt.d_gates`, rows in reverse step order.
+    fn bptt(&mut self, record: &LstmRecord, grad_h: &[f32]) -> Result<()> {
         let (steps, batch, h, input) = (
             record.steps,
             record.batch,
@@ -570,19 +515,7 @@ impl LstmCell {
                 kernels::matmul_into(d_rows, &s.weight_h_t, &mut s.d_h_next, batch, 4 * h, h);
             }
         }
-        // input gradients and parameter gradients, from the whole stack
-        if let Some(grad_x) = grad_x {
-            refill(grad_x, rows * input);
-            let weight_x_t = self.weight_x.transpose()?;
-            kernels::matmul_into(
-                &s.d_gates,
-                weight_x_t.as_slice(),
-                grad_x,
-                rows,
-                4 * h,
-                input,
-            );
-        }
+        // parameter gradients, from the whole stack
         kernels::matmul_into(
             &s.x_t,
             &s.d_gates,
@@ -639,10 +572,6 @@ fn transpose_into(src: &[f32], rows: usize, cols: usize, out: &mut Vec<f32>) {
     }
 }
 
-fn same_bits(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
 impl Layer for LstmCell {
     fn name(&self) -> &'static str {
         "lstm"
@@ -653,23 +582,42 @@ impl Layer for LstmCell {
     /// [`Layer`] tooling (optimizers, counting).
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
         let (batch, _) = input.shape().as_matrix()?;
-        self.clear_cache();
-        let mut state = LstmState::zeros(batch, self.hidden_size);
-        self.step(input, &mut state)?;
-        Ok(state.h)
+        self.begin_episode(&LstmState::zeros(batch, self.hidden_size))?;
+        let h = self.step(input)?.to_vec();
+        Ok(Tensor::from_vec(h, &[batch, self.hidden_size])?)
     }
 
+    /// Backpropagates `grad_output`, `dL/dh` of the last recorded step,
+    /// through the episode: accumulates the parameter gradients and returns
+    /// `dL/dx` of that last step.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let steps = self.record.steps;
+        let (steps, batch, h) = (self.record.steps, self.record.batch, self.hidden_size);
         if steps == 0 {
             return Err(NeuralError::MissingForwardCache {
                 layer: "lstm".into(),
             });
         }
-        let mut grads = vec![Tensor::zeros(grad_output.dims()); steps];
-        grads[steps - 1] = grad_output.clone();
-        let inputs = self.backward_through_time(&grads)?;
-        Ok(inputs.into_iter().last().unwrap_or_default())
+        if grad_output.dims() != [batch, h] {
+            return Err(NeuralError::BadInputShape {
+                layer: "lstm-bptt".into(),
+                expected: format!("({batch}, {h})"),
+                actual: grad_output.dims().to_vec(),
+            });
+        }
+        let mut grad_h = vec![0.0; steps * batch * h];
+        grad_h[(steps - 1) * batch * h..].copy_from_slice(grad_output.as_slice());
+        let record = std::mem::take(&mut self.record);
+        let result = self.bptt(&record, &grad_h);
+        self.record = record;
+        result?;
+        // the last step's pre-activation gradients head the stack
+        let d_last = &self.bptt.d_gates[..batch * 4 * h];
+        let mut grad_x = Vec::with_capacity(batch * self.input_size);
+        for d_row in d_last.chunks_exact(4 * h) {
+            let w_rows = self.weight_x.as_slice().chunks_exact(4 * h);
+            grad_x.extend(w_rows.map(|w_row| kernels::dot(d_row, w_row)));
+        }
+        Ok(Tensor::from_vec(grad_x, &[batch, self.input_size])?)
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamSet<'_>)) {
@@ -721,16 +669,16 @@ mod tests {
     fn step_produces_bounded_hidden_state() {
         let mut rng = SeededRng::new(1);
         let mut cell = LstmCell::new(3, 5, &mut rng).unwrap();
-        let mut state = LstmState::zeros(2, 5);
+        cell.begin_episode(&LstmState::zeros(2, 5)).unwrap();
         for _ in 0..10 {
             let x = Initializer::HeNormal.create(&mut rng, &[2, 3], 3, 5);
-            cell.step(&x, &mut state).unwrap();
+            let h = cell.step(&x).unwrap();
             // h = o * tanh(c) is bounded by |tanh| <= 1
-            assert!(state.h.as_slice().iter().all(|v| v.abs() <= 1.0));
-            assert!(state.h.is_finite());
+            assert_eq!(h.len(), 2 * 5);
+            assert!(h.iter().all(|v| v.is_finite() && v.abs() <= 1.0));
         }
         assert_eq!(cell.recorded_steps(), 10);
-        cell.clear_cache();
+        cell.begin_episode(&LstmState::zeros(2, 5)).unwrap();
         assert_eq!(cell.recorded_steps(), 0);
     }
 
@@ -738,10 +686,22 @@ mod tests {
     fn step_rejects_mismatched_shapes() {
         let mut rng = SeededRng::new(2);
         let mut cell = LstmCell::new(3, 5, &mut rng).unwrap();
-        let mut state = LstmState::zeros(1, 5);
-        assert!(cell.step(&Tensor::zeros(&[1, 4]), &mut state).is_err());
-        let mut bad_state = LstmState::zeros(1, 4);
-        assert!(cell.step(&Tensor::zeros(&[1, 3]), &mut bad_state).is_err());
+        // no episode yet
+        assert!(cell.step(&Tensor::zeros(&[1, 3])).is_err());
+        assert!(cell.begin_episode(&LstmState::zeros(1, 4)).is_err());
+        assert!(cell.begin_episode(&LstmState::zeros(0, 5)).is_err());
+        let mixed = LstmState {
+            h: Tensor::zeros(&[1, 5]),
+            c: Tensor::zeros(&[2, 5]),
+        };
+        assert!(cell.begin_episode(&mixed).is_err());
+        cell.begin_episode(&LstmState::zeros(1, 5)).unwrap();
+        assert!(cell.step(&Tensor::zeros(&[1, 4])).is_err());
+        assert_eq!(cell.recorded_steps(), 0);
+        cell.step(&Tensor::zeros(&[1, 3])).unwrap();
+        // a taken record ends the episode
+        cell.take_record();
+        assert!(cell.step(&Tensor::zeros(&[1, 3])).is_err());
     }
 
     fn param_mut(cell: &mut LstmCell, param: usize) -> &mut Tensor {
@@ -752,10 +712,41 @@ mod tests {
         }
     }
 
+    /// A random `(batch, hidden)` state, or a zero one.
+    fn initial_state(rng: &mut SeededRng, batch: usize, hidden: usize, zero: bool) -> LstmState {
+        if zero {
+            return LstmState::zeros(batch, hidden);
+        }
+        LstmState {
+            h: Initializer::HeNormal.create(rng, &[batch, hidden], hidden, hidden),
+            c: Initializer::HeNormal.create(rng, &[batch, hidden], hidden, hidden),
+        }
+    }
+
+    /// Runs `inputs` as one episode from `initial` and returns `Σ_t Σ h_t`
+    /// (every step) or `Σ h_T` (only the last).
+    fn episode_loss(
+        cell: &mut LstmCell,
+        initial: &LstmState,
+        inputs: &[Tensor],
+        every_step: bool,
+    ) -> f32 {
+        cell.begin_episode(initial).unwrap();
+        let mut loss = 0.0;
+        for (t, x) in inputs.iter().enumerate() {
+            let h = cell.step(x).unwrap();
+            if every_step || t + 1 == inputs.len() {
+                loss += h.iter().sum::<f32>();
+            }
+        }
+        loss
+    }
+
     /// Checks every element of BPTT's `weight_x`, `weight_h` and bias
-    /// gradients against central finite differences of `loss = Σ_t Σ h_t`
-    /// over a 3-step episode, starting from a zero state or, with
-    /// `nonzero_initial`, from a random one (which the record stores once).
+    /// gradients, backpropagated from a taken record, against central
+    /// finite differences of `loss = Σ_t Σ h_t` over a 3-step episode,
+    /// starting from a zero state or, with `nonzero_initial`, from a random
+    /// one (which the record stores once).
     fn check_bptt_against_finite_differences(batch: usize, seed: u64, nonzero_initial: bool) {
         let mut rng = SeededRng::new(seed);
         let mut cell = LstmCell::new(2, 3, &mut rng).unwrap();
@@ -763,33 +754,14 @@ mod tests {
         let inputs: Vec<Tensor> = (0..steps)
             .map(|_| Initializer::HeNormal.create(&mut rng, &[batch, 2], 2, 3))
             .collect();
-        let initial = if nonzero_initial {
-            LstmState {
-                h: Initializer::HeNormal.create(&mut rng, &[batch, 3], 3, 3),
-                c: Initializer::HeNormal.create(&mut rng, &[batch, 3], 3, 3),
-            }
-        } else {
-            LstmState::zeros(batch, 3)
-        };
-
-        let run_loss = |cell: &mut LstmCell| -> f32 {
-            cell.clear_cache();
-            let mut state = initial.clone();
-            let mut loss = 0.0;
-            for x in &inputs {
-                cell.step(x, &mut state).unwrap();
-                loss += state.h.sum();
-            }
-            loss
-        };
+        let initial = initial_state(&mut rng, batch, 3, !nonzero_initial);
 
         // analytic gradients
-        run_loss(&mut cell);
+        episode_loss(&mut cell, &initial, &inputs, true);
         cell.zero_grad();
-        let grad_h: Vec<Tensor> = (0..steps).map(|_| Tensor::ones(&[batch, 3])).collect();
-        let grad_x = cell.backward_through_time(&grad_h).unwrap();
-        assert_eq!(grad_x.len(), steps);
-        assert!(grad_x.iter().all(|g| g.dims() == [batch, 2]));
+        let record = cell.take_record();
+        cell.backward_record(&record, &vec![1.0; steps * batch * 3])
+            .unwrap();
         let analytic = [
             cell.weight_x_grad.clone(),
             cell.weight_h_grad.clone(),
@@ -801,9 +773,9 @@ mod tests {
             for idx in 0..analytic.len() {
                 let original = param_mut(&mut cell, param).as_slice()[idx];
                 param_mut(&mut cell, param).as_mut_slice()[idx] = original + eps;
-                let lp = run_loss(&mut cell);
+                let lp = episode_loss(&mut cell, &initial, &inputs, true);
                 param_mut(&mut cell, param).as_mut_slice()[idx] = original - eps;
-                let lm = run_loss(&mut cell);
+                let lm = episode_loss(&mut cell, &initial, &inputs, true);
                 param_mut(&mut cell, param).as_mut_slice()[idx] = original;
                 let numeric = (lp - lm) / (2.0 * eps);
                 // the recurrent-weight gradients are ~1e-4 here, so the
@@ -838,6 +810,49 @@ mod tests {
         check_bptt_against_finite_differences(2, 12, true);
     }
 
+    /// Checks the `dL/dx` that [`Layer::backward`] returns for the last
+    /// step of a 3-step episode from a random state against central finite
+    /// differences of `loss = Σ h_T` over that step's input.
+    fn check_layer_backward_against_finite_differences(batch: usize, seed: u64) {
+        let mut rng = SeededRng::new(seed);
+        let mut cell = LstmCell::new(2, 3, &mut rng).unwrap();
+        let mut inputs: Vec<Tensor> = (0..3)
+            .map(|_| Initializer::HeNormal.create(&mut rng, &[batch, 2], 2, 3))
+            .collect();
+        let initial = initial_state(&mut rng, batch, 3, false);
+
+        episode_loss(&mut cell, &initial, &inputs, false);
+        let grad_x = cell.backward(&Tensor::ones(&[batch, 3])).unwrap();
+        assert_eq!(grad_x.dims(), &[batch, 2]);
+        assert_eq!(cell.recorded_steps(), 3, "backward keeps the episode");
+
+        let eps = 1e-2f32;
+        for idx in 0..batch * 2 {
+            let original = inputs[2].as_slice()[idx];
+            inputs[2].as_mut_slice()[idx] = original + eps;
+            let lp = episode_loss(&mut cell, &initial, &inputs, false);
+            inputs[2].as_mut_slice()[idx] = original - eps;
+            let lm = episode_loss(&mut cell, &initial, &inputs, false);
+            inputs[2].as_mut_slice()[idx] = original;
+            let numeric = (lp - lm) / (2.0 * eps);
+            let expected = grad_x.as_slice()[idx];
+            assert!(
+                (numeric - expected).abs() < 2e-5 + 1e-2 * expected.abs(),
+                "batch {batch}: dL/dx mismatch at {idx}: numeric={numeric} analytic={expected}"
+            );
+        }
+    }
+
+    #[test]
+    fn layer_backward_input_gradient_matches_finite_differences() {
+        check_layer_backward_against_finite_differences(1, 15);
+    }
+
+    #[test]
+    fn layer_backward_input_gradient_matches_finite_differences_at_batch_two() {
+        check_layer_backward_against_finite_differences(2, 16);
+    }
+
     fn grad_bits(cell: &LstmCell) -> Vec<u32> {
         [&cell.weight_x_grad, &cell.weight_h_grad, &cell.bias_grad]
             .iter()
@@ -849,21 +864,16 @@ mod tests {
     fn a_taken_record_backpropagates_like_the_cells_own() {
         let mut rng = SeededRng::new(13);
         let mut cell = LstmCell::new(3, 4, &mut rng).unwrap();
-        let mut state = LstmState {
-            h: Initializer::HeNormal.create(&mut rng, &[1, 4], 4, 4),
-            c: Initializer::HeNormal.create(&mut rng, &[1, 4], 4, 4),
-        };
+        cell.begin_episode(&initial_state(&mut rng, 1, 4, false))
+            .unwrap();
         let mut hidden = Vec::new();
         for _ in 0..5 {
             let x = Initializer::HeNormal.create(&mut rng, &[1, 3], 3, 4);
-            cell.step(&x, &mut state).unwrap();
-            hidden.extend_from_slice(state.h.as_slice());
+            hidden.extend_from_slice(cell.step(&x).unwrap());
         }
-        let grad_h: Vec<Tensor> = (0..5)
-            .map(|_| Initializer::HeNormal.create(&mut rng, &[1, 4], 4, 4))
-            .collect();
+        let grad_last = Initializer::HeNormal.create(&mut rng, &[1, 4], 4, 4);
         cell.zero_grad();
-        cell.backward_through_time(&grad_h).unwrap();
+        cell.backward(&grad_last).unwrap();
         let own = grad_bits(&cell);
 
         let record = cell.take_record();
@@ -876,65 +886,28 @@ mod tests {
             record.hidden_into(t, &mut rebuilt);
             assert_eq!(rebuilt, hidden[t * 4..(t + 1) * 4], "step {t} output");
         }
-        let flat: Vec<f32> = grad_h.iter().flat_map(|g| g.as_slice()).copied().collect();
+        let mut grad_h = vec![0.0f32; 4 * 4];
+        grad_h.extend_from_slice(grad_last.as_slice());
         cell.zero_grad();
-        cell.backward_record(&record, &flat).unwrap();
+        cell.backward_record(&record, &grad_h).unwrap();
         assert_eq!(grad_bits(&cell), own);
 
-        assert!(cell.backward_record(&record, &flat[1..]).is_err());
         let mut other = LstmCell::new(2, 4, &mut rng).unwrap();
-        assert!(other.backward_record(&record, &flat).is_err());
+        assert!(other.backward_record(&record, &grad_h).is_err());
     }
 
     #[test]
     fn step_rejects_a_batch_change_mid_episode() {
         let mut rng = SeededRng::new(9);
         let mut cell = LstmCell::new(2, 3, &mut rng).unwrap();
-        cell.step(&Tensor::ones(&[1, 2]), &mut LstmState::zeros(1, 3))
-            .unwrap();
-        let err = cell
-            .step(&Tensor::ones(&[2, 2]), &mut LstmState::zeros(2, 3))
-            .unwrap_err();
+        cell.begin_episode(&LstmState::zeros(1, 3)).unwrap();
+        cell.step(&Tensor::ones(&[1, 2])).unwrap();
+        let err = cell.step(&Tensor::ones(&[2, 2])).unwrap_err();
         assert!(matches!(err, NeuralError::BadInputShape { .. }), "{err}");
         assert_eq!(cell.recorded_steps(), 1);
         // a new episode may use a new batch size
-        cell.clear_cache();
-        cell.step(&Tensor::ones(&[2, 2]), &mut LstmState::zeros(2, 3))
-            .unwrap();
-        assert_eq!(cell.recorded_steps(), 1);
-    }
-
-    #[test]
-    fn step_rejects_a_state_that_is_not_the_previous_output() {
-        let mut rng = SeededRng::new(14);
-        let mut cell = LstmCell::new(2, 3, &mut rng).unwrap();
-        let x = Tensor::ones(&[1, 2]);
-        let mut first = LstmState::zeros(1, 3);
-        cell.step(&x, &mut first).unwrap();
-        let mut second = first.clone();
-        cell.step(&x, &mut second).unwrap();
-        assert_eq!(cell.recorded_steps(), 2);
-        let mut stale = first.clone();
-        let err = cell.step(&x, &mut stale).unwrap_err();
-        assert!(
-            matches!(err, NeuralError::UnchainedStep { recorded: 2, .. }),
-            "{err}"
-        );
-        assert_eq!(cell.recorded_steps(), 2);
-        assert_eq!(stale.h.as_slice(), first.h.as_slice(), "state untouched");
-        // a state that differs only in the cell half is not chained either
-        let mut cell_only = second.clone();
-        cell_only.c.as_mut_slice()[1] += 1.0;
-        assert!(matches!(
-            cell.step(&x, &mut cell_only).unwrap_err(),
-            NeuralError::UnchainedStep { .. }
-        ));
-        assert_eq!(cell.recorded_steps(), 2);
-        // the real output still chains, and a new episode may start anywhere
-        cell.step(&x, &mut second).unwrap();
-        assert_eq!(cell.recorded_steps(), 3);
-        cell.clear_cache();
-        cell.step(&x, &mut first).unwrap();
+        cell.begin_episode(&LstmState::zeros(2, 3)).unwrap();
+        cell.step(&Tensor::ones(&[2, 2])).unwrap();
         assert_eq!(cell.recorded_steps(), 1);
     }
 
@@ -942,11 +915,8 @@ mod tests {
     fn bptt_rejects_a_misshapen_hidden_gradient() {
         let mut rng = SeededRng::new(10);
         let mut cell = LstmCell::new(2, 3, &mut rng).unwrap();
-        cell.step(&Tensor::ones(&[2, 2]), &mut LstmState::zeros(2, 3))
-            .unwrap();
-        let err = cell
-            .backward_through_time(&[Tensor::ones(&[1, 3])])
-            .unwrap_err();
+        cell.forward(&Tensor::ones(&[2, 2]), true).unwrap();
+        let err = cell.backward(&Tensor::ones(&[1, 3])).unwrap_err();
         assert!(matches!(err, NeuralError::BadInputShape { .. }), "{err}");
     }
 
@@ -954,9 +924,16 @@ mod tests {
     fn bptt_rejects_wrong_gradient_count() {
         let mut rng = SeededRng::new(4);
         let mut cell = LstmCell::new(2, 2, &mut rng).unwrap();
-        let mut state = LstmState::zeros(1, 2);
-        cell.step(&Tensor::zeros(&[1, 2]), &mut state).unwrap();
-        assert!(cell.backward_through_time(&[]).is_err());
+        cell.forward(&Tensor::zeros(&[1, 2]), true).unwrap();
+        let record = cell.take_record();
+        assert!(cell.backward_record(&record, &[]).is_err());
+        assert!(cell.backward_record(&record, &[0.0; 3]).is_err());
+        assert!(cell.backward_record(&record, &[0.0; 2]).is_ok());
+        // the cell's own episode went with the record
+        assert!(matches!(
+            cell.backward(&Tensor::ones(&[1, 2])).unwrap_err(),
+            NeuralError::MissingForwardCache { .. }
+        ));
     }
 
     #[test]

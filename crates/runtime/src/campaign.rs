@@ -333,12 +333,12 @@ fn run_scenario(
     let (outcome, cache_stats) = if campaign.use_cache {
         let mut cached = CachedEvaluator::surrogate(surrogate, cache);
         let outcome = search
-            .run_with_evaluator(&mut cached)
+            .run_with_batch_evaluator(&mut cached)
             .map_err(scenario_error)?;
         (outcome, cached.local_stats())
     } else {
         let outcome = search
-            .run_with_evaluator(&mut surrogate)
+            .run_with_batch_evaluator(&mut surrogate)
             .map_err(scenario_error)?;
         (outcome, CacheStats::default())
     };

@@ -4,7 +4,7 @@
 //! module hand-rolls exactly the slice of RFC 9112 the daemon needs:
 //! request-line + headers + `Content-Length` bodies, percent-decoded paths
 //! and query strings, JSON responses, and HTTP/1.1 keep-alive. Bounds are
-//! enforced while *reading* (not after), so a hostile peer cannot balloon
+//! checked while *reading* (not after), so a hostile peer cannot balloon
 //! memory with an oversized header block or body.
 //!
 //! Parsing is incremental: [`RequestParser`] is a push parser fed whatever
@@ -111,7 +111,7 @@ struct PendingBody {
 /// The parser owns one connection's receive buffer. Bytes past the first
 /// complete request are retained, so a pipelining client's next request is
 /// picked up by the next [`RequestParser::advance`] call. Bounds are
-/// enforced as bytes arrive: an unterminated head is rejected the moment
+/// checked as bytes arrive: an unterminated head is rejected the moment
 /// it crosses [`MAX_HEAD_BYTES`], and an oversized declared body is
 /// rejected from the headers alone (413), before any body byte is
 /// buffered past the cap decision.

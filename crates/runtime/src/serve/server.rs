@@ -56,7 +56,7 @@ pub struct ServeOptions {
     /// answered 503 + `Retry-After` at the door.
     pub max_inflight: usize,
     /// Whole-request read deadline (slowloris cutoff) and keep-alive idle
-    /// timeout, enforced by the reactor's deadline wheel.
+    /// timeout, applied by the reactor's deadline wheel.
     pub read_timeout: Duration,
     /// Largest accepted request body; beyond it the request is answered
     /// 413 without buffering the body.

@@ -625,18 +625,9 @@ impl ArtifactStore {
         id: &str,
         report_json: &str,
     ) -> Result<StoredCampaign, StoreError> {
-        let mut suffix = 1;
-        loop {
-            let attempt = if suffix == 1 {
-                id.to_string()
-            } else {
-                format!("{id}-{suffix}")
-            };
-            match self.ingest(&attempt, report_json) {
-                Err(StoreError::DuplicateId(_)) => suffix += 1,
-                other => return other,
-            }
-        }
+        let stored = self.ingest_first_free(id, report_json)?;
+        self.write_catalog()?;
+        Ok(stored)
     }
 
     /// Ingests a report file, deriving the id from its file stem and
@@ -703,14 +694,21 @@ impl ArtifactStore {
                 }
             })
             .collect();
-        let mut id = stem.clone();
-        let mut suffix = 2;
+        self.ingest_first_free(&stem, &text)
+    }
+
+    /// Publishes one artifact under `id`, or under the first free one of
+    /// `id-2`, `id-3`, … if `id` is taken, without touching `catalog.json`.
+    fn ingest_first_free(&self, id: &str, report_json: &str) -> Result<StoredCampaign, StoreError> {
+        let mut suffix = 1;
         loop {
-            match self.ingest_inner(&id, &text) {
-                Err(StoreError::DuplicateId(_)) => {
-                    id = format!("{stem}-{suffix}");
-                    suffix += 1;
-                }
+            let attempt = if suffix == 1 {
+                id.to_string()
+            } else {
+                format!("{id}-{suffix}")
+            };
+            match self.ingest_inner(&attempt, report_json) {
+                Err(StoreError::DuplicateId(_)) => suffix += 1,
                 other => return other,
             }
         }

@@ -159,7 +159,7 @@ impl Histogram {
 }
 
 /// What kind of series a registered name is — one kind per family name,
-/// enforced at registration.
+/// checked at registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Counter,

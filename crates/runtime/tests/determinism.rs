@@ -35,14 +35,16 @@ fn cached_evaluation_is_bit_identical_to_uncached() {
     let cache = Arc::new(EvalCache::new());
     let mut search = FahanaSearch::new(search_config(30, 11)).unwrap();
     let mut cached_eval = CachedEvaluator::surrogate(search.surrogate().clone(), cache.clone());
-    let cached = search.run_with_evaluator(&mut cached_eval).unwrap();
+    let cached = search.run_with_batch_evaluator(&mut cached_eval).unwrap();
     assert_eq!(uncached.history, cached.history);
 
     // a second identical search is served from the cache and still agrees
     let mut rerun_search = FahanaSearch::new(search_config(30, 11)).unwrap();
     let mut rerun_eval =
         CachedEvaluator::surrogate(rerun_search.surrogate().clone(), cache.clone());
-    let rerun = rerun_search.run_with_evaluator(&mut rerun_eval).unwrap();
+    let rerun = rerun_search
+        .run_with_batch_evaluator(&mut rerun_eval)
+        .unwrap();
     assert_eq!(uncached.history, rerun.history);
     assert!(
         rerun_eval.local_stats().hits > 0,
