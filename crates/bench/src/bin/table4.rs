@@ -1,5 +1,5 @@
 //! Table 4 — compatibility of FaHaNa with data-balancing techniques
-//! (5× more minority data, following the paper's reference [18]).
+//! (5× more minority data, following the paper's reference \[18\]).
 //!
 //! Regenerate with `cargo run -p fahana-bench --bin table4`.
 

@@ -1,6 +1,6 @@
 //! The MONAS baseline: multi-objective NAS with fairness bolted on.
 //!
-//! Table 2 compares FaHaNa against MONAS [32] with fairness added as an
+//! Table 2 compares FaHaNa against MONAS \[32\] with fairness added as an
 //! extra objective. Architecturally the baseline differs from FaHaNa in two
 //! ways: it searches *every* block of the backbone (no frozen header, so the
 //! space is ~10^19 instead of ~10^9) and every child is trained end to end

@@ -1,7 +1,7 @@
 //! Data balancing: generating extra minority samples (paper Table 4).
 //!
 //! The paper's compatibility experiment applies the fair-generative-model
-//! technique of its reference [18] to synthesise 5× more minority data. We
+//! technique of its reference \[18\] to synthesise 5× more minority data. We
 //! reproduce the effect with a generative-style augmentation: new minority
 //! samples are rendered from the same generative process with fresh noise
 //! and geometric jitter, so the augmented set is "new data from the minority

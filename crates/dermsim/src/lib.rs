@@ -21,7 +21,7 @@
 //!
 //! The crate also implements the **data balancing** technique of Table 4
 //! (generating extra minority data, following the fair-generative-model idea
-//! of the paper's reference [18]) as [`balance_dataset`].
+//! of the paper's reference \[18\]) as [`balance_dataset`].
 //!
 //! # Example
 //!

@@ -112,7 +112,7 @@ struct PendingBody {
 /// complete request are retained, so a pipelining client's next request is
 /// picked up by the next [`RequestParser::advance`] call. Bounds are
 /// checked as bytes arrive: an unterminated head is rejected the moment
-/// it crosses [`MAX_HEAD_BYTES`], and an oversized declared body is
+/// it crosses `MAX_HEAD_BYTES` (64 KiB), and an oversized declared body is
 /// rejected from the headers alone (413), before any body byte is
 /// buffered past the cap decision.
 #[derive(Debug)]

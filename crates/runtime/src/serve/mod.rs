@@ -8,8 +8,9 @@
 //!
 //! * [`view`] — an update-on-ingest [`StoreView`]: campaigns parsed once,
 //!   shared across handler threads as `Arc` snapshots, with the
-//!   generation and campaign set swapped under one lock; an ingest
-//!   inserts the one new campaign instead of re-reading the store;
+//!   generation, campaign set and rendered catalog swapped under one
+//!   lock; an ingest inserts the one new campaign and renders only its
+//!   catalog entry instead of re-reading or re-rendering the store;
 //! * [`http`] — hand-rolled HTTP/1.1 request parsing and JSON responses
 //!   (no hyper in the offline build): an incremental request parser with
 //!   head and body caps, and a minimal framed client
@@ -19,7 +20,7 @@
 //!   responses valid for exactly one store generation, flushed wholesale
 //!   when `POST /ingest` bumps it, hot entries prerendered on every bump;
 //! * [`router`] — the endpoint table (see below);
-//! * [`reactor`] — the nonblocking readiness loop (one level-triggered
+//! * `reactor` — the nonblocking readiness loop (one level-triggered
 //!   `poll(2)` interest set, hand-declared FFI): every accepted socket
 //!   lives here, idle keep-alive connections park off-worker, read
 //!   deadlines fire from its timer wheel, and only complete buffered
@@ -46,7 +47,7 @@
 //! | `GET /leaderboard/{device_slug}` | per-device best-by-reward ranking (`?top=N`) |
 //! | `GET /metrics` | the metrics registry, Prometheus text exposition format |
 //! | `GET /statusz` | JSON status: uptime, store generation, per-endpoint latency percentiles |
-//! | `POST /ingest?id=ID` | atomic artifact publish + catalog rebuild + view refresh |
+//! | `POST /ingest?id=ID` | atomic artifact publish + catalog reassembly + view refresh |
 //!
 //! ## Platform
 //!

@@ -6,13 +6,15 @@
 //! the CLI's — pinned by `tests/serve_http.rs`.
 //!
 //! Read endpoints flow through the generation-keyed [`ResponseCache`]: the
-//! router takes one consistent `(generation, campaigns)` snapshot per
-//! request, serves cached bytes when the same question was already
-//! rendered this generation, and — on the first request of a *new*
-//! generation — prerenders the hot responses (`/catalog`, `/campaigns`,
-//! every `/leaderboard/{device}`) so an ingest never leaves the next
-//! burst of traffic cold. Cached or not, read responses carry an
-//! `X-Fahana-Generation` header naming the store state they reflect.
+//! router takes one consistent [`Snapshot`] per request, serves cached
+//! bytes when the same question was already rendered this generation,
+//! and — on the first request of a *new* generation — prerenders the hot
+//! responses (`/catalog`, `/campaigns`, every `/leaderboard/{device}`) so
+//! an ingest never leaves the next burst of traffic cold. The catalog is
+//! not rendered here: the view renders it once per generation, and
+//! `/catalog` (prerendered or not) copies the snapshot's bytes. Cached or
+//! not, read responses carry an `X-Fahana-Generation` header naming the
+//! store state they reflect.
 
 use edgehw::DeviceKind;
 
@@ -20,10 +22,8 @@ use crate::report::Json;
 use crate::serve::cache::{CacheLookup, ResponseCache};
 use crate::serve::http::{Request, Response};
 use crate::serve::obs::ServeTelemetry;
-use crate::serve::view::StoreView;
-use crate::store::{
-    answer_query, catalog_json, leaderboard, StoreError, StoreQuery, StoredCampaign,
-};
+use crate::serve::view::{Snapshot, StoreView};
+use crate::store::{answer_query, leaderboard, StoreError, StoreQuery, StoredCampaign};
 
 /// Whether a path is one of the read endpoints whose response is a pure
 /// function of the campaign snapshot — the set the cache may hold.
@@ -50,23 +50,24 @@ pub fn route(
         ("POST", "/ingest") => return ingest(request, view),
         _ => {}
     }
-    // one consistent (generation, campaigns) pair for the whole request:
-    // the bytes rendered below reflect exactly this generation, so they
-    // may be cached under it — and only under it
-    let (generation, campaigns) = view.snapshot();
+    // one consistent snapshot for the whole request: the bytes rendered
+    // below reflect exactly this generation, so they may be cached under
+    // it — and only under it
+    let snapshot = view.snapshot();
+    let generation = snapshot.generation;
     if request.method == "GET" && is_read_path(&request.path) {
         let key = ResponseCache::key(request);
         match cache.lookup(&key, generation) {
             CacheLookup::Hit(response) => return response,
             CacheLookup::Miss { flushed } => {
                 if flushed {
-                    prerender(cache, generation, &campaigns);
+                    prerender(cache, &snapshot);
                     // the prerender may have produced exactly this answer
                     if let CacheLookup::Hit(response) = cache.lookup(&key, generation) {
                         return response;
                     }
                 }
-                let response = route_read(request, &campaigns).with_generation(generation);
+                let response = route_read(request, &snapshot).with_generation(generation);
                 if response.status == 200 {
                     cache.insert(key, generation, response.clone());
                 }
@@ -74,20 +75,21 @@ pub fn route(
             }
         }
     }
-    route_read(request, &campaigns)
+    route_read(request, &snapshot)
 }
 
 /// Fills the cache's hot set for the view's current generation. The
 /// server calls this once at bind time; after that, the flush edge in
 /// [`route`] re-warms the cache on every generation bump.
 pub(crate) fn warm(cache: &ResponseCache, view: &StoreView) {
-    let (generation, campaigns) = view.snapshot();
-    prerender(cache, generation, &campaigns);
+    prerender(cache, &view.snapshot());
 }
 
 /// Renders the hot read responses into the cache for a fresh generation:
-/// the catalog, the campaign summary, and every device leaderboard.
-fn prerender(cache: &ResponseCache, generation: u64, campaigns: &[StoredCampaign]) {
+/// the catalog (copied from the snapshot), the campaign summary, and
+/// every device leaderboard.
+fn prerender(cache: &ResponseCache, snapshot: &Snapshot) {
+    let generation = snapshot.generation;
     let hot = ["/catalog".to_string(), "/campaigns".to_string()]
         .into_iter()
         .chain(
@@ -103,21 +105,22 @@ fn prerender(cache: &ResponseCache, generation: u64, campaigns: &[StoredCampaign
             body: Vec::new(),
             keep_alive: true,
         };
-        let response = route_read(&request, campaigns).with_generation(generation);
+        let response = route_read(&request, snapshot).with_generation(generation);
         if response.status == 200 {
             cache.insert(ResponseCache::key(&request), generation, response);
         }
     }
 }
 
-/// The pure read surface: every handler here is a function of the campaign
+/// The pure read surface: every handler here is a function of the
 /// snapshot alone, which is what makes its responses cacheable.
-fn route_read(request: &Request, campaigns: &[StoredCampaign]) -> Response {
+fn route_read(request: &Request, snapshot: &Snapshot) -> Response {
+    let campaigns = snapshot.campaigns.as_slice();
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => healthz(campaigns),
         ("GET", "/query") => query(request, campaigns),
         ("GET", "/campaigns") => campaign_summaries(campaigns),
-        ("GET", "/catalog") => catalog(campaigns),
+        ("GET", "/catalog") => Response::ok(snapshot.catalog.as_ref()),
         ("GET", path) if path.starts_with("/leaderboard/") => {
             device_leaderboard(request, campaigns, &path["/leaderboard/".len()..])
         }
@@ -189,10 +192,6 @@ fn campaign_summaries(campaigns: &[StoredCampaign]) -> Response {
     )
 }
 
-fn catalog(campaigns: &[StoredCampaign]) -> Response {
-    Response::ok(catalog_json(campaigns).render())
-}
-
 fn device_leaderboard(request: &Request, campaigns: &[StoredCampaign], slug: &str) -> Response {
     let Some(device) = DeviceKind::from_slug(slug) else {
         let known: Vec<&str> = DeviceKind::all().iter().map(|d| d.slug()).collect();
@@ -250,7 +249,7 @@ fn ingest(request: &Request, view: &StoreView) -> Response {
 mod tests {
     use super::*;
     use crate::scenario::{CampaignConfig, RewardSetting};
-    use crate::store::ArtifactStore;
+    use crate::store::{catalog_json, ArtifactStore};
     use crate::{campaign_json, CampaignEngine};
 
     fn get(path_and_query: &str) -> Request {

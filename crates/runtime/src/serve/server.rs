@@ -1,5 +1,5 @@
 //! The long-lived HTTP server: a `TcpListener` accept loop feeding the
-//! event-driven [`reactor`](crate::serve::reactor).
+//! event-driven `reactor` module.
 //!
 //! Connections honor HTTP/1.1 keep-alive, and connection count and
 //! pool-worker count are independent axes: each accepted socket is
@@ -8,7 +8,7 @@
 //! dispatches one pool job for the routing work. Thousands of
 //! mostly-idle keep-alive connections share a `--threads 2` pool. Reuse
 //! is bounded: an idle connection is dropped after the read timeout, and
-//! no connection serves more than [`MAX_REQUESTS_PER_CONNECTION`]
+//! no connection serves more than `MAX_REQUESTS_PER_CONNECTION` (1000)
 //! requests before the server closes it.
 //!
 //! The accept loop stays the backpressure point. At most

@@ -21,15 +21,17 @@
 //! so a stale or deleted catalog can not corrupt anything). The one-shot
 //! paths ([`ArtifactStore::ingest`], [`ArtifactStore::rebuild_catalog`])
 //! rebuild it by re-parsing every artifact on disk; the daemon's
-//! [`crate::serve::StoreView::ingest`] already holds every campaign parsed
-//! and writes it from that in-memory list, re-reading the disk only when
-//! the artifact names show an out-of-band writer. Scenarios are
+//! [`crate::serve::StoreView::ingest`] keeps every campaign parsed with
+//! its rendered catalog entry, renders only the new campaign's entry and
+//! reassembles the catalog from the kept ones, re-reading the disk only
+//! when the artifact names show an out-of-band writer. Scenarios are
 //! keyed by device slug × reward name × freezing mode — the three grid
 //! axes of [`crate::scenario::CampaignConfig`].
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use edgehw::DeviceKind;
 use fahana::{merge_frontiers, EpisodeRecord, ParetoPoint};
@@ -80,8 +82,9 @@ impl std::error::Error for StoreError {}
 pub struct StoredCampaign {
     /// The artifact id (file stem under `artifacts/`).
     pub id: String,
-    /// The parsed report.
-    pub report: CampaignReport,
+    /// The parsed report, shared: a clone of a campaign list copies
+    /// pointers, not reports.
+    pub report: Arc<CampaignReport>,
 }
 
 /// A "best architecture for device X under constraint Y" question.
@@ -409,61 +412,122 @@ impl Leaderboard {
 
 /// The catalog document: a human-readable index keyed by artifact id
 /// listing each scenario's device/reward/freezing key, plus a coverage
-/// summary of the whole store. This is both what
-/// [`ArtifactStore::write_catalog`] persists as `catalog.json` and what
-/// `fahana-serve` answers on `GET /catalog`.
+/// summary of the whole store. `catalog.json` and `fahana-serve`'s
+/// `GET /catalog` carry exactly its rendering, assembled from one cached
+/// entry per campaign (`CatalogEntry`, `render_catalog`) built from the
+/// same definitions of an entry and of coverage.
 pub fn catalog_json(campaigns: &[StoredCampaign]) -> Json {
-    let mut coverage: BTreeMap<String, i64> = BTreeMap::new();
+    let keys: Vec<String> = campaigns
+        .iter()
+        .flat_map(|campaign| campaign.report.scenarios.iter().map(coverage_key))
+        .collect();
     Json::Obj(vec![
         (
             "campaigns".into(),
+            Json::Arr(campaigns.iter().map(catalog_entry_json).collect()),
+        ),
+        (
+            "coverage".into(),
+            coverage_json(keys.iter().map(String::as_str)),
+        ),
+    ])
+}
+
+/// One campaign's element of the catalog's `campaigns` array.
+fn catalog_entry_json(campaign: &StoredCampaign) -> Json {
+    Json::Obj(vec![
+        ("id".into(), Json::str(&campaign.id)),
+        (
+            "scenarios".into(),
             Json::Arr(
-                campaigns
+                campaign
+                    .report
+                    .scenarios
                     .iter()
-                    .map(|campaign| {
+                    .map(|s| {
                         Json::Obj(vec![
-                            ("id".into(), Json::str(&campaign.id)),
-                            (
-                                "scenarios".into(),
-                                Json::Arr(
-                                    campaign
-                                        .report
-                                        .scenarios
-                                        .iter()
-                                        .map(|s| {
-                                            let mode =
-                                                if s.use_freezing { "frozen" } else { "full" };
-                                            *coverage
-                                                .entry(format!(
-                                                    "{}/{}/{mode}",
-                                                    s.device_slug, s.reward
-                                                ))
-                                                .or_insert(0) += 1;
-                                            Json::Obj(vec![
-                                                ("device_slug".into(), Json::str(&s.device_slug)),
-                                                ("reward".into(), Json::str(&s.reward)),
-                                                ("use_freezing".into(), Json::Bool(s.use_freezing)),
-                                                ("scenario".into(), Json::str(&s.scenario)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
+                            ("device_slug".into(), Json::str(&s.device_slug)),
+                            ("reward".into(), Json::str(&s.reward)),
+                            ("use_freezing".into(), Json::Bool(s.use_freezing)),
+                            ("scenario".into(), Json::str(&s.scenario)),
                         ])
                     })
                     .collect(),
             ),
         ),
-        (
-            "coverage".into(),
-            Json::Obj(
-                coverage
-                    .into_iter()
-                    .map(|(key, count)| (key, Json::Int(count)))
-                    .collect(),
-            ),
-        ),
     ])
+}
+
+/// The key a scenario counts under in the catalog's `coverage` summary:
+/// `device/reward/mode`.
+fn coverage_key(scenario: &ScenarioReport) -> String {
+    let mode = if scenario.use_freezing {
+        "frozen"
+    } else {
+        "full"
+    };
+    format!("{}/{}/{mode}", scenario.device_slug, scenario.reward)
+}
+
+/// The catalog's `coverage` object: how many scenarios carry each key, in
+/// key order.
+fn coverage_json<'a>(keys: impl Iterator<Item = &'a str>) -> Json {
+    let mut counts: BTreeMap<&str, i64> = BTreeMap::new();
+    for key in keys {
+        *counts.entry(key).or_insert(0) += 1;
+    }
+    Json::Obj(
+        counts
+            .into_iter()
+            .map(|(key, count)| (key.to_string(), Json::Int(count)))
+            .collect(),
+    )
+}
+
+/// One campaign's share of the catalog, kept so that a catalog can be
+/// reassembled after an ingest without rendering the other campaigns
+/// again: its rendered element of the `campaigns` array and the coverage
+/// key of each of its scenarios.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CatalogEntry {
+    rendered: String,
+    coverage_keys: Vec<String>,
+}
+
+impl CatalogEntry {
+    /// Renders `campaign`'s share of the catalog.
+    pub(crate) fn new(campaign: &StoredCampaign) -> CatalogEntry {
+        CatalogEntry {
+            rendered: catalog_entry_json(campaign).render(),
+            coverage_keys: campaign.report.scenarios.iter().map(coverage_key).collect(),
+        }
+    }
+}
+
+/// Assembles the catalog from one entry per campaign, in id order: the
+/// bytes `catalog_json(campaigns).render()` gives for the same campaigns.
+/// Only the coverage counts are computed here; every campaign's element
+/// is copied from its entry.
+pub(crate) fn render_catalog(entries: &[CatalogEntry]) -> String {
+    let coverage = coverage_json(
+        entries
+            .iter()
+            .flat_map(|entry| entry.coverage_keys.iter().map(String::as_str)),
+    )
+    .render();
+    let elements: usize = entries.iter().map(|entry| entry.rendered.len() + 1).sum();
+    let mut out = String::with_capacity(elements + coverage.len() + 32);
+    out.push_str(r#"{"campaigns":["#);
+    for (index, entry) in entries.iter().enumerate() {
+        if index > 0 {
+            out.push(',');
+        }
+        out.push_str(&entry.rendered);
+    }
+    out.push_str(r#"],"coverage":"#);
+    out.push_str(&coverage);
+    out.push('}');
+    out
 }
 
 /// Best-effort removal of hidden `.*.tmp` staging files left behind by
@@ -606,7 +670,7 @@ impl ArtifactStore {
         })?;
         Ok(StoredCampaign {
             id: id.to_string(),
-            report,
+            report: Arc::new(report),
         })
     }
 
@@ -746,7 +810,10 @@ impl ArtifactStore {
                 path: path.display().to_string(),
                 error,
             })?;
-            campaigns.push(StoredCampaign { id, report });
+            campaigns.push(StoredCampaign {
+                id,
+                report: Arc::new(report),
+            });
         }
         campaigns.sort_by(|a, b| a.id.cmp(&b.id));
         Ok(campaigns)
@@ -798,7 +865,7 @@ impl ArtifactStore {
     /// Takes the catalog-rebuild lock shared by every clone (see the
     /// type-level docs). A caller that writes the catalog from its own
     /// list holds it from its [`ArtifactStore::artifact_ids`] check to
-    /// its [`ArtifactStore::write_catalog_of`], so a concurrent
+    /// its [`ArtifactStore::write_catalog_bytes`], so a concurrent
     /// in-process ingest either shows up in that listing or rebuilds the
     /// catalog from disk after it.
     pub(crate) fn lock_catalog(&self) -> std::sync::MutexGuard<'_, ()> {
@@ -814,11 +881,11 @@ impl ArtifactStore {
     /// ingest.
     fn write_catalog(&self) -> Result<(), StoreError> {
         let _serialize = self.lock_catalog();
-        self.write_catalog_of(&self.campaigns()?)
+        let entries: Vec<CatalogEntry> = self.campaigns()?.iter().map(CatalogEntry::new).collect();
+        self.write_catalog_bytes(&render_catalog(&entries))
     }
 
-    /// Writes `catalog.json` for `campaigns` (sorted by id, as
-    /// [`ArtifactStore::campaigns`] returns them). The caller holds
+    /// Writes `catalog` as `catalog.json`. The caller holds
     /// [`ArtifactStore::lock_catalog`].
     ///
     /// The write is atomic ([`crate::fsutil::write_atomic`]: staged in a
@@ -830,13 +897,11 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// [`StoreError::Io`] on write failures.
-    pub(crate) fn write_catalog_of(&self, campaigns: &[StoredCampaign]) -> Result<(), StoreError> {
+    pub(crate) fn write_catalog_bytes(&self, catalog: &str) -> Result<(), StoreError> {
         let path = self.root.join("catalog.json");
-        crate::fsutil::write_atomic(&path, catalog_json(campaigns).render()).map_err(|e| {
-            StoreError::Io {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            }
+        crate::fsutil::write_atomic(&path, catalog).map_err(|e| StoreError::Io {
+            path: path.display().to_string(),
+            message: e.to_string(),
         })
     }
 }
@@ -1126,6 +1191,30 @@ mod tests {
         if let Some(first) = entries.first() {
             assert_eq!(first.get("rank").unwrap().as_i64(), Some(1));
         }
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn the_assembled_catalog_is_the_rendered_catalog_document() {
+        assert_eq!(render_catalog(&[]), catalog_json(&[]).render());
+        let store = temp_store("assembled-catalog");
+        store.ingest("a", &tiny_report(40)).unwrap();
+        store.ingest("b", &tiny_report(41)).unwrap();
+        let campaigns = store.campaigns().unwrap();
+        let entries: Vec<CatalogEntry> = campaigns.iter().map(CatalogEntry::new).collect();
+        let assembled = render_catalog(&entries);
+        assert_eq!(assembled, catalog_json(&campaigns).render());
+        // both campaigns cover the same two scenario keys, so the coverage
+        // counts come from both entries
+        let parsed = Json::parse(&assembled).unwrap();
+        let coverage = parsed.get("coverage").unwrap();
+        assert_eq!(
+            coverage
+                .get("raspberry_pi_4/balanced/frozen")
+                .unwrap()
+                .as_i64(),
+            Some(2)
+        );
         std::fs::remove_dir_all(store.root()).ok();
     }
 

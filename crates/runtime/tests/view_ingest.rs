@@ -1,15 +1,17 @@
 //! The daemon's ingest path against the from-disk path: a
-//! [`StoreView::ingest`] inserts the parsed report in memory and writes
-//! `catalog.json` from that list, and after any mix of view ingests,
-//! out-of-band store writes and reloads — sequential or concurrent — the
-//! view and the catalog must equal what re-parsing the directory gives,
-//! byte for byte.
+//! [`StoreView::ingest`] inserts the parsed report in memory and
+//! reassembles the catalog from per-campaign entries, and after any mix of
+//! view ingests, out-of-band store writes and reloads — sequential or
+//! concurrent — the view, `catalog.json` and the `/catalog` the router
+//! serves must equal what re-parsing the directory gives, byte for byte.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, OnceLock};
 
 use edgehw::DeviceKind;
+use fahana_runtime::serve::{route, Request, ResponseCache, ServeOptions, ServeTelemetry};
 use fahana_runtime::{
     campaign_json, catalog_json, ArtifactStore, CampaignConfig, CampaignEngine, RewardSetting,
     StoreError, StoreView,
@@ -68,54 +70,92 @@ fn catalog_on_disk(store: &ArtifactStore) -> String {
     std::fs::read_to_string(store.root().join("catalog.json")).unwrap()
 }
 
+/// The body of `GET /catalog` as the router answers it through `cache`.
+fn served_catalog(view: &StoreView, cache: &ResponseCache) -> String {
+    let request = Request {
+        method: "GET".into(),
+        path: "/catalog".into(),
+        query: Vec::new(),
+        body: Vec::new(),
+        keep_alive: true,
+    };
+    let response = route(&request, view, &ServeTelemetry::disabled(), cache);
+    assert_eq!(response.status, 200);
+    response.body
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Each step is `(kind, id, report)`: kind 0–1 ingests through the
     /// view, 2 ingests out-of-band through the store and 3 deletes an
     /// artifact out-of-band (so the next view ingest has to heal from
-    /// disk), 4 reloads the view.
+    /// disk), 4 reloads the view, and 5 deletes an artifact out-of-band
+    /// and at once publishes its id again through the view with another
+    /// report (so the view replaces a campaign it holds, and the
+    /// coverage counts must drop the stale report's scenarios).
     #[test]
     fn prop_view_ingests_match_the_from_disk_path(
-        steps in proptest::collection::vec((0u8..5, 0usize..10, 0usize..3), 1..16),
+        steps in proptest::collection::vec((0u8..6, 0usize..10, 0usize..3), 1..16),
     ) {
         let store = ArtifactStore::open(temp_root("prop")).unwrap();
         store.ingest("seed", &reports()[0]).unwrap();
         let view = StoreView::open(store.clone()).unwrap();
+        let cache = ResponseCache::new(ServeOptions::default().cache_capacity);
+        // which report each artifact on disk holds
+        let mut published = BTreeMap::from([("seed".to_string(), 0)]);
         let mut updates = 0;
         // an out-of-band write the view has not caught up with yet
         let mut behind = false;
         for &(kind, id, report) in &steps {
             let id = format!("c{id}");
-            let report = &reports()[report];
+            let artifact = store.root().join("artifacts").join(format!("{id}.json"));
             match kind {
-                0 | 1 => match view.ingest(&id, report) {
+                0 | 1 => match view.ingest(&id, &reports()[report]) {
                     Ok(stored) => {
                         prop_assert_eq!(&stored.id, &id);
+                        published.insert(id, report);
                         updates += 1;
                         behind = false;
                     }
                     Err(error) => prop_assert_eq!(error, StoreError::DuplicateId(id)),
                 },
-                2 => match store.ingest(&id, report) {
-                    Ok(_) => behind = true,
+                2 => match store.ingest(&id, &reports()[report]) {
+                    Ok(_) => {
+                        published.insert(id, report);
+                        behind = true;
+                    }
                     Err(error) => prop_assert_eq!(error, StoreError::DuplicateId(id)),
                 },
                 3 => {
-                    let artifact = store.root().join("artifacts").join(format!("{id}.json"));
                     if std::fs::remove_file(artifact).is_ok() {
+                        published.remove(&id);
                         store.rebuild_catalog().unwrap();
                         behind = true;
                     }
                 }
-                _ => {
+                4 => {
                     view.reload().unwrap();
                     updates += 1;
                     behind = false;
                 }
+                _ => {
+                    if let Some(&old) = published.get(&id) {
+                        std::fs::remove_file(artifact).unwrap();
+                        let fresh = (old + 1) % reports().len();
+                        let stored = view.ingest(&id, &reports()[fresh]).unwrap();
+                        prop_assert_eq!(&stored.id, &id);
+                        published.insert(id, fresh);
+                        updates += 1;
+                        behind = false;
+                    }
+                }
             }
+            let served = served_catalog(&view, &cache);
+            prop_assert_eq!(&served, &catalog_json(&view.campaigns()).render());
             if !behind {
                 prop_assert_eq!(view.campaigns().to_vec(), store.campaigns().unwrap());
+                prop_assert_eq!(&served, &catalog_on_disk(&store));
             }
             prop_assert_eq!(catalog_on_disk(&store), disk_catalog(&store));
             prop_assert_eq!(view.generation(), updates);

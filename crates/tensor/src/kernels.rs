@@ -18,9 +18,9 @@
 //!   reductions: `LANES` partial accumulators filled in chunk order, then a
 //!   pinned binary-tree combine, then the scalar tail folded left to right.
 //!   This order differs from a naive left-to-right sum, and is defined by
-//!   the retained [`reference`] implementations below.
+//!   the retained [`reference`](mod@reference) implementations below.
 //!
-//! The [`reference`] module keeps a plain scalar rendition of every kernel.
+//! The [`reference`](mod@reference) module keeps a plain scalar rendition of every kernel.
 //! Proptests pin the production kernels bit-identical to their references
 //! across shapes 1..64, which is what licenses future SIMD rewrites: any
 //! change that keeps the reference equivalence holds the determinism gate.
