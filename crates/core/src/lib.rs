@@ -44,7 +44,7 @@ pub mod search;
 pub use controller::{ControllerConfig, EpisodeSample, RnnController};
 pub use error::FahanaError;
 pub use monas::{MonasConfig, MonasSearch};
-pub use pareto::{merge_frontiers, pareto_frontier, ParetoPoint};
+pub use pareto::{descending_nan_last, merge_frontiers, pareto_frontier, ParetoPoint};
 pub use reward::{Reward, RewardConfig};
 pub use search::{DiscoveredNetwork, EpisodeRecord, FahanaConfig, FahanaSearch, SearchOutcome};
 

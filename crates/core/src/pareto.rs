@@ -1,5 +1,7 @@
 //! Pareto-frontier utilities for Figures 5 and 6.
 
+use std::cmp::Ordering;
+
 /// A point in a two-objective trade-off space.
 ///
 /// By convention the first objective (`maximize`) is to be maximised (e.g.
@@ -34,8 +36,34 @@ impl ParetoPoint {
     }
 }
 
+/// Orders two objective values best first (descending), with NaN after
+/// every number.
+///
+/// Non-NaN pairs compare with `partial_cmp`, so `0.0` and `-0.0` tie.
+/// Unlike `partial_cmp(..).unwrap_or(Equal)`, this is a total order once a
+/// value is NaN (a `null` metric in a parsed report), which `sort_by`
+/// requires: it may panic on a comparator that is not.
+///
+/// # Example
+///
+/// ```
+/// use fahana::descending_nan_last;
+///
+/// let mut rewards = vec![0.2, f64::NAN, 0.9, 0.5];
+/// rewards.sort_by(|a, b| descending_nan_last(*a, *b));
+/// assert_eq!(&rewards[..3], &[0.9, 0.5, 0.2]);
+/// assert!(rewards[3].is_nan());
+/// ```
+pub fn descending_nan_last(a: f64, b: f64) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        // never `None`: neither value is NaN
+        (false, false) => b.partial_cmp(&a).unwrap_or(Ordering::Equal),
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
+    }
+}
+
 /// Returns the non-dominated subset of `points`, sorted by the maximised
-/// objective (descending).
+/// objective (descending, NaN last).
 ///
 /// # Example
 ///
@@ -52,22 +80,7 @@ impl ParetoPoint {
 /// assert!(frontier.iter().all(|p| p.label != "dominated"));
 /// ```
 pub fn pareto_frontier(points: &[ParetoPoint]) -> Vec<ParetoPoint> {
-    let mut frontier: Vec<ParetoPoint> = points
-        .iter()
-        .filter(|candidate| {
-            !points
-                .iter()
-                .any(|other| other != *candidate && other.dominates(candidate))
-        })
-        .cloned()
-        .collect();
-    frontier.sort_by(|a, b| {
-        b.maximize
-            .partial_cmp(&a.maximize)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    frontier.dedup_by(|a, b| a.maximize == b.maximize && a.minimize == b.minimize);
-    frontier
+    frontier_of(&points.iter().collect::<Vec<_>>())
 }
 
 /// Merges several frontiers (or arbitrary point sets) into one combined
@@ -79,7 +92,9 @@ pub fn pareto_frontier(points: &[ParetoPoint]) -> Vec<ParetoPoint> {
 /// identical to running [`pareto_frontier`] on the concatenation of all
 /// inputs, so the merge is idempotent (`merge(f, f) == f` up to
 /// deduplication) and commutative in the objective values (label ties are
-/// broken by first occurrence, like `pareto_frontier` itself).
+/// broken by first occurrence, like `pareto_frontier` itself). The inputs
+/// may be borrowed (`&Vec<ParetoPoint>`, `&[ParetoPoint]`): only the
+/// surviving points are cloned.
 ///
 /// # Example
 ///
@@ -88,16 +103,33 @@ pub fn pareto_frontier(points: &[ParetoPoint]) -> Vec<ParetoPoint> {
 ///
 /// let run_a = vec![ParetoPoint::new("a", 0.80, 0.20)];
 /// let run_b = vec![ParetoPoint::new("b", 0.85, 0.15)];
-/// let merged = merge_frontiers([run_a, run_b]);
+/// let merged = merge_frontiers([&run_a, &run_b]);
 /// assert_eq!(merged.len(), 1);
 /// assert_eq!(merged[0].label, "b");
 /// ```
 pub fn merge_frontiers<I>(frontiers: I) -> Vec<ParetoPoint>
 where
-    I: IntoIterator<Item = Vec<ParetoPoint>>,
+    I: IntoIterator,
+    I::Item: AsRef<[ParetoPoint]>,
 {
-    let combined: Vec<ParetoPoint> = frontiers.into_iter().flatten().collect();
-    pareto_frontier(&combined)
+    let frontiers: Vec<I::Item> = frontiers.into_iter().collect();
+    let combined: Vec<&ParetoPoint> = frontiers.iter().flat_map(|f| f.as_ref()).collect();
+    frontier_of(&combined)
+}
+
+/// The frontier core behind [`pareto_frontier`] and [`merge_frontiers`]:
+/// filters, sorts and dedupes borrowed points, then clones the survivors.
+/// No point dominates an equal one (`dominates` needs a strict
+/// improvement), so the filter needs no self-exclusion.
+fn frontier_of(points: &[&ParetoPoint]) -> Vec<ParetoPoint> {
+    let mut frontier: Vec<&ParetoPoint> = points
+        .iter()
+        .copied()
+        .filter(|candidate| !points.iter().any(|other| other.dominates(candidate)))
+        .collect();
+    frontier.sort_by(|a, b| descending_nan_last(a.maximize, b.maximize));
+    frontier.dedup_by(|a, b| a.maximize == b.maximize && a.minimize == b.minimize);
+    frontier.into_iter().cloned().collect()
 }
 
 #[cfg(test)]
@@ -241,6 +273,92 @@ mod tests {
                     prop_assert!(points.iter().any(|q| q.dominates(p)));
                 }
             }
+        }
+    }
+
+    /// `pareto_frontier` as it was, kept as the reference: the quadratic
+    /// filter with its self-exclusion check, on owned clones.
+    fn reference_frontier(points: &[ParetoPoint]) -> Vec<ParetoPoint> {
+        let mut frontier: Vec<ParetoPoint> = points
+            .iter()
+            .filter(|candidate| {
+                !points
+                    .iter()
+                    .any(|other| other != *candidate && other.dominates(candidate))
+            })
+            .cloned()
+            .collect();
+        frontier.sort_by(|a, b| {
+            b.maximize
+                .partial_cmp(&a.maximize)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        frontier.dedup_by(|a, b| a.maximize == b.maximize && a.minimize == b.minimize);
+        frontier
+    }
+
+    /// Labels and exact bits, so `0.0` and `-0.0` are told apart.
+    fn exact(frontier: &[ParetoPoint]) -> Vec<(String, u64, u64)> {
+        frontier
+            .iter()
+            .map(|p| (p.label.clone(), p.maximize.to_bits(), p.minimize.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn nan_objectives_sort_after_every_number() {
+        // a `null` metric in a parsed report reads as NaN; NaN points are
+        // never dominated, and the former `unwrap_or(Equal)` comparator is
+        // not a total order over them
+        let points: Vec<ParetoPoint> = (0..40)
+            .map(|i| {
+                let maximize = if i % 3 == 0 {
+                    f64::NAN
+                } else {
+                    i as f64 / 40.0
+                };
+                ParetoPoint::new(format!("p{i}"), maximize, 1.0 - i as f64 / 40.0)
+            })
+            .collect();
+        let frontier = pareto_frontier(&points);
+        let numbers = frontier.iter().take_while(|p| !p.maximize.is_nan()).count();
+        assert!(numbers > 0 && numbers < frontier.len());
+        assert!(frontier[..numbers]
+            .windows(2)
+            .all(|w| w[0].maximize > w[1].maximize));
+        assert!(frontier[numbers..].iter().all(|p| p.maximize.is_nan()));
+        assert_eq!(frontier.len() - numbers, 14, "every NaN point survives");
+    }
+
+    #[test]
+    fn descending_nan_last_keeps_signed_zeros_tied() {
+        use std::cmp::Ordering::*;
+        assert_eq!(descending_nan_last(0.0, -0.0), Equal);
+        assert_eq!(descending_nan_last(1.0, 0.5), Less);
+        assert_eq!(descending_nan_last(0.5, 1.0), Greater);
+        assert_eq!(descending_nan_last(f64::NAN, -1e300), Greater);
+        assert_eq!(descending_nan_last(f64::NEG_INFINITY, f64::NAN), Less);
+        assert_eq!(descending_nan_last(f64::NAN, f64::NAN), Equal);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn prop_frontier_matches_the_self_excluding_reference(
+            xs in proptest::collection::vec((0usize..6, 0usize..6, 0usize..4), 0..30),
+            split in 0usize..30,
+        ) {
+            // a coarse grid with both signed zeros forces equal points,
+            // tied objectives and repeated labels
+            let grid = [-0.0, 0.0, 0.25, 0.5, 0.75, 1.0];
+            let points: Vec<ParetoPoint> = xs
+                .iter()
+                .map(|&(a, b, l)| ParetoPoint::new(format!("p{l}"), grid[a], grid[b]))
+                .collect();
+            let expected = exact(&reference_frontier(&points));
+            prop_assert_eq!(exact(&pareto_frontier(&points)), expected.clone());
+            let (head, tail) = points.split_at(split.min(points.len()));
+            prop_assert_eq!(exact(&merge_frontiers([head, tail])), expected);
         }
     }
 }

@@ -12,9 +12,11 @@
 //! responses (`/catalog`, `/campaigns`, every `/leaderboard/{device}`) so
 //! an ingest never leaves the next burst of traffic cold. The catalog is
 //! not rendered here: the view renders it once per generation, and
-//! `/catalog` (prerendered or not) copies the snapshot's bytes. Cached or
-//! not, read responses carry an `X-Fahana-Generation` header naming the
-//! store state they reflect.
+//! `/catalog` (prerendered or not) copies the snapshot's bytes. Each
+//! leaderboard ranks borrowed records through the store's ranking core
+//! and clones only its `top` entries; unlike `/query`, it merges no
+//! Pareto frontier. Cached or not, read responses carry an
+//! `X-Fahana-Generation` header naming the store state they reflect.
 
 use edgehw::DeviceKind;
 
@@ -87,7 +89,10 @@ pub(crate) fn warm(cache: &ResponseCache, view: &StoreView) {
 
 /// Renders the hot read responses into the cache for a fresh generation:
 /// the catalog (copied from the snapshot), the campaign summary, and
-/// every device leaderboard.
+/// every device leaderboard. The leaderboards are the part that grows
+/// with the store: each walks every campaign's matching scenarios, but
+/// ranks borrowed records, sorts only one per architecture name and
+/// merges no frontier, so the flush edge costs a scan, not a query.
 fn prerender(cache: &ResponseCache, snapshot: &Snapshot) {
     let generation = snapshot.generation;
     let hot = ["/catalog".to_string(), "/campaigns".to_string()]

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use edgehw::DeviceKind;
-use fahana::{merge_frontiers, EpisodeRecord, ParetoPoint};
+use fahana::{descending_nan_last, merge_frontiers, EpisodeRecord, ParetoPoint};
 
 use crate::report::{CampaignReport, Json, ReportError, ScenarioReport};
 
@@ -275,6 +275,80 @@ impl QueryAnswer {
     }
 }
 
+/// One admissible record, borrowed from the campaign list: the ranking
+/// core works on these and clones only the candidates it returns.
+#[derive(Clone, Copy)]
+struct Sighting<'a> {
+    campaign: &'a str,
+    scenario: &'a str,
+    role: &'static str,
+    record: &'a EpisodeRecord,
+}
+
+impl Sighting<'_> {
+    fn to_candidate(self) -> Candidate {
+        Candidate {
+            campaign: self.campaign.to_string(),
+            scenario: self.scenario.to_string(),
+            role: self.role,
+            record: self.record.clone(),
+        }
+    }
+}
+
+/// What [`rank`] finds: the matching scenarios and the admissible records,
+/// one per architecture name, best first.
+struct Ranking<'a> {
+    scenarios: Vec<&'a ScenarioReport>,
+    ranked: Vec<Sighting<'a>>,
+}
+
+/// The ranking core behind [`answer_query`] and [`leaderboard`]. It
+/// collects the admissible best/best-small/fairest records of every
+/// matching scenario and keeps one per architecture name: the highest
+/// reward, the earliest sighting on ties. Only those survivors are sorted,
+/// by reward descending (NaN last), then name.
+fn rank<'a>(campaigns: &'a [StoredCampaign], query: &StoreQuery) -> Ranking<'a> {
+    let mut scenarios = Vec::new();
+    let mut ranked: Vec<Sighting<'a>> = Vec::new();
+    let mut slot_of: BTreeMap<&'a str, usize> = BTreeMap::new();
+    for campaign in campaigns {
+        for scenario in &campaign.report.scenarios {
+            if !query.admits_scenario(scenario) {
+                continue;
+            }
+            scenarios.push(scenario);
+            for (role, record) in [
+                ("best", &scenario.best),
+                ("best_small", &scenario.best_small),
+                ("fairest", &scenario.fairest),
+            ] {
+                let Some(record) = record.as_ref().filter(|r| query.admits(r)) else {
+                    continue;
+                };
+                let sighting = Sighting {
+                    campaign: &campaign.id,
+                    scenario: &scenario.scenario,
+                    role,
+                    record,
+                };
+                let slot = *slot_of.entry(&record.name).or_insert(ranked.len());
+                if slot == ranked.len() {
+                    ranked.push(sighting);
+                } else if descending_nan_last(record.reward, ranked[slot].record.reward).is_lt() {
+                    ranked[slot] = sighting;
+                }
+            }
+        }
+    }
+    // names are unique now, so the order is total and stability moot
+    ranked.sort_unstable_by(|a, b| {
+        descending_nan_last(a.record.reward, b.record.reward)
+            .then_with(|| a.record.name.cmp(&b.record.name))
+    });
+    Ranking { scenarios, ranked }
+}
+
 /// Answers a query from an in-memory set of campaigns: filters scenarios
 /// by device/reward/freezing, collects admissible best/best-small/fairest
 /// records, and merges the accuracy/unfairness frontiers of every matching
@@ -285,52 +359,14 @@ impl QueryAnswer {
 /// and the long-lived `fahana-serve` daemon (which holds the campaigns in
 /// a [`crate::serve::StoreView`] and never re-scans per request).
 pub fn answer_query(campaigns: &[StoredCampaign], query: &StoreQuery) -> QueryAnswer {
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut frontiers: Vec<Vec<ParetoPoint>> = Vec::new();
-    let mut scenarios_matched = 0;
-    for campaign in campaigns {
-        for scenario in &campaign.report.scenarios {
-            if !query.admits_scenario(scenario) {
-                continue;
-            }
-            scenarios_matched += 1;
-            frontiers.push(scenario.accuracy_fairness_frontier.clone());
-            for (role, record) in [
-                ("best", &scenario.best),
-                ("best_small", &scenario.best_small),
-                ("fairest", &scenario.fairest),
-            ] {
-                if let Some(record) = record {
-                    if query.admits(record) {
-                        candidates.push(Candidate {
-                            campaign: campaign.id.clone(),
-                            scenario: scenario.scenario.clone(),
-                            role,
-                            record: record.clone(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // dedupe by architecture name, keeping the highest-reward sighting
-    candidates.sort_by(|a, b| {
-        b.record
-            .reward
-            .partial_cmp(&a.record.reward)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.record.name.cmp(&b.record.name))
-    });
-    let mut seen = std::collections::BTreeSet::new();
-    candidates.retain(|c| seen.insert(c.record.name.clone()));
-
+    let Ranking { scenarios, ranked } = rank(campaigns, query);
+    let candidates: Vec<Candidate> = ranked.into_iter().map(Sighting::to_candidate).collect();
     QueryAnswer {
         best: candidates.first().cloned(),
         candidates,
-        frontier: merge_frontiers(frontiers),
+        frontier: merge_frontiers(scenarios.iter().map(|s| &s.accuracy_fairness_frontier)),
         campaigns_consulted: campaigns.len(),
-        scenarios_matched,
+        scenarios_matched: scenarios.len(),
     }
 }
 
@@ -350,22 +386,23 @@ pub struct Leaderboard {
 }
 
 /// Builds the [`Leaderboard`] for `device` over `campaigns`, keeping the
-/// `top` highest-reward architectures.
+/// `top` highest-reward architectures. The entries are the head of the
+/// device-filtered [`answer_query`]'s candidates; no frontier is merged.
 pub fn leaderboard(campaigns: &[StoredCampaign], device: DeviceKind, top: usize) -> Leaderboard {
-    let answer = answer_query(
-        campaigns,
-        &StoreQuery {
-            device: Some(device),
-            ..StoreQuery::default()
-        },
-    );
-    let mut entries = answer.candidates;
-    entries.truncate(top);
+    let query = StoreQuery {
+        device: Some(device),
+        ..StoreQuery::default()
+    };
+    let Ranking { scenarios, ranked } = rank(campaigns, &query);
     Leaderboard {
         device,
-        entries,
-        campaigns_consulted: answer.campaigns_consulted,
-        scenarios_matched: answer.scenarios_matched,
+        entries: ranked
+            .into_iter()
+            .take(top)
+            .map(Sighting::to_candidate)
+            .collect(),
+        campaigns_consulted: campaigns.len(),
+        scenarios_matched: scenarios.len(),
     }
 }
 
@@ -1228,5 +1265,324 @@ mod tests {
         assert!(parsed.get("best").is_some());
         assert_eq!(parsed.get("campaigns_consulted").unwrap().as_i64(), Some(1));
         std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    /// A parsed campaign report whose scenarios the synthetic stores below
+    /// overwrite field by field; parsed once per test process.
+    fn template_report() -> &'static CampaignReport {
+        static TEMPLATE: std::sync::OnceLock<CampaignReport> = std::sync::OnceLock::new();
+        TEMPLATE.get_or_init(|| CampaignReport::parse(&tiny_report(40)).unwrap())
+    }
+
+    fn record(name: &str, reward: f64) -> EpisodeRecord {
+        EpisodeRecord {
+            episode: 0,
+            name: name.to_string(),
+            params: 1_000_000,
+            storage_mb: 4.0,
+            latency_ms: 100.0,
+            accuracy: 0.8,
+            unfairness: 0.1,
+            trained_params: 1_000_000,
+            reward,
+            valid: true,
+        }
+    }
+
+    /// A store of synthetic campaigns: `scenarios[i]` is `(campaign index,
+    /// device, reward setting, freezing, [best, best_small, fairest])`, and
+    /// each scenario's accuracy/unfairness frontier holds its records.
+    #[allow(clippy::type_complexity)]
+    fn synthetic_store(
+        scenarios: Vec<(usize, DeviceKind, &str, bool, [Option<EpisodeRecord>; 3])>,
+    ) -> Vec<StoredCampaign> {
+        let template = &template_report().scenarios[0];
+        let campaigns = scenarios.iter().map(|s| s.0).max().map_or(0, |m| m + 1);
+        let mut reports = vec![template_report().clone(); campaigns];
+        for report in &mut reports {
+            report.scenarios.clear();
+        }
+        for (index, (campaign, device, reward, freezing, [best, best_small, fairest])) in
+            scenarios.into_iter().enumerate()
+        {
+            let frontier = [&best, &best_small, &fairest]
+                .into_iter()
+                .flatten()
+                .map(|r| ParetoPoint::new(r.name.clone(), r.accuracy, r.unfairness))
+                .collect();
+            reports[campaign].scenarios.push(ScenarioReport {
+                scenario: format!("s{index}"),
+                device_slug: device.slug().to_string(),
+                reward: reward.to_string(),
+                use_freezing: freezing,
+                best,
+                best_small,
+                fairest,
+                accuracy_fairness_frontier: frontier,
+                ..template.clone()
+            });
+        }
+        reports
+            .into_iter()
+            .enumerate()
+            .map(|(index, report)| StoredCampaign {
+                id: format!("c{index}"),
+                report: Arc::new(report),
+            })
+            .collect()
+    }
+
+    /// `answer_query` as it was before the ranking core, kept as the
+    /// reference: clone every frontier and candidate, stable-sort the lot,
+    /// keep the first sighting of each name.
+    fn reference_answer(campaigns: &[StoredCampaign], query: &StoreQuery) -> QueryAnswer {
+        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut frontiers: Vec<Vec<ParetoPoint>> = Vec::new();
+        let mut scenarios_matched = 0;
+        for campaign in campaigns {
+            for scenario in &campaign.report.scenarios {
+                if !query.admits_scenario(scenario) {
+                    continue;
+                }
+                scenarios_matched += 1;
+                frontiers.push(scenario.accuracy_fairness_frontier.clone());
+                for (role, record) in [
+                    ("best", &scenario.best),
+                    ("best_small", &scenario.best_small),
+                    ("fairest", &scenario.fairest),
+                ] {
+                    if let Some(record) = record {
+                        if query.admits(record) {
+                            candidates.push(Candidate {
+                                campaign: campaign.id.clone(),
+                                scenario: scenario.scenario.clone(),
+                                role,
+                                record: record.clone(),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        candidates.sort_by(|a, b| {
+            b.record
+                .reward
+                .partial_cmp(&a.record.reward)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.record.name.cmp(&b.record.name))
+        });
+        let mut seen = std::collections::BTreeSet::new();
+        candidates.retain(|c| seen.insert(c.record.name.clone()));
+        QueryAnswer {
+            best: candidates.first().cloned(),
+            candidates,
+            frontier: merge_frontiers(frontiers),
+            campaigns_consulted: campaigns.len(),
+            scenarios_matched,
+        }
+    }
+
+    /// `leaderboard` as it was: the device-filtered reference answer,
+    /// truncated.
+    fn reference_leaderboard(
+        campaigns: &[StoredCampaign],
+        device: DeviceKind,
+        top: usize,
+    ) -> Leaderboard {
+        let answer = reference_answer(
+            campaigns,
+            &StoreQuery {
+                device: Some(device),
+                ..StoreQuery::default()
+            },
+        );
+        let mut entries = answer.candidates;
+        entries.truncate(top);
+        Leaderboard {
+            device,
+            entries,
+            campaigns_consulted: answer.campaigns_consulted,
+            scenarios_matched: answer.scenarios_matched,
+        }
+    }
+
+    /// Takes the next digit of base `base` off `code`.
+    fn digit(code: &mut u32, base: u32) -> usize {
+        let d = *code % base;
+        *code /= base;
+        d as usize
+    }
+
+    /// Decodes a record: absent one time in five, else one of six names,
+    /// rewards with ties and both signed zeros, invalid one time in five,
+    /// and metrics on both sides of every filter threshold the query
+    /// decoder uses.
+    fn decode_record(mut code: u32) -> Option<EpisodeRecord> {
+        if digit(&mut code, 5) == 0 {
+            return None;
+        }
+        let name = format!("arch-{}", digit(&mut code, 6));
+        let reward = [0.9, 0.5, 0.5, 0.0, -0.0, -0.3][digit(&mut code, 6)];
+        let valid = digit(&mut code, 5) != 0;
+        let mut record = record(&name, reward);
+        record.valid = valid;
+        record.latency_ms = [50.0, 150.0, 400.0][digit(&mut code, 3)];
+        record.accuracy = [0.6, 0.75, 0.9][digit(&mut code, 3)];
+        record.unfairness = [0.05, 0.1, 0.2][digit(&mut code, 3)];
+        record.params = [100_000, 1_000_000, 5_000_000][digit(&mut code, 3)];
+        Some(record)
+    }
+
+    /// Record codes span every digit of [`decode_record`].
+    const RECORD_CODES: u32 = 5 * 6 * 6 * 5 * 3 * 3 * 3 * 3;
+
+    /// Decodes a query: every device or none, a present, absent or unknown
+    /// reward setting, either freezing mode or none, and each numeric
+    /// filter set or unset.
+    fn decode_query(mut code: u32) -> StoreQuery {
+        let devices = DeviceKind::all();
+        StoreQuery {
+            device: [None, Some(devices[0]), Some(devices[1]), Some(devices[2])]
+                [digit(&mut code, 4)],
+            reward: [None, Some("balanced"), Some("unknown")][digit(&mut code, 3)]
+                .map(str::to_string),
+            freezing: [None, Some(true), Some(false)][digit(&mut code, 3)],
+            max_latency_ms: [None, Some(200.0)][digit(&mut code, 2)],
+            max_unfairness: [None, Some(0.1)][digit(&mut code, 2)],
+            min_accuracy: [None, Some(0.75)][digit(&mut code, 2)],
+            max_params: [None, Some(1_000_000)][digit(&mut code, 2)],
+        }
+    }
+
+    const QUERY_CODES: u32 = 4 * 3 * 3 * 2 * 2 * 2 * 2;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+        #[test]
+        fn prop_ranking_core_matches_the_clone_sort_dedupe_reference(
+            scenarios in proptest::collection::vec(
+                ((0u32..48, 0u32..RECORD_CODES), (0u32..RECORD_CODES, 0u32..RECORD_CODES)),
+                0..24,
+            ),
+            query_code in 0u32..QUERY_CODES,
+            top in proptest::sample::select(vec![0usize, 1, 3, 1000]),
+        ) {
+            let devices = DeviceKind::all();
+            let campaigns = synthetic_store(
+                scenarios
+                    .iter()
+                    .map(|&((mut keys, a), (b, c))| {
+                        (
+                            digit(&mut keys, 4),
+                            devices[digit(&mut keys, 3)],
+                            ["balanced", "fairness_heavy"][digit(&mut keys, 2)],
+                            digit(&mut keys, 2) == 1,
+                            [decode_record(a), decode_record(b), decode_record(c)],
+                        )
+                    })
+                    .collect(),
+            );
+            let query = decode_query(query_code);
+            let answer = answer_query(&campaigns, &query);
+            let expected = reference_answer(&campaigns, &query);
+            // rendered bytes pin which of two tied ±0.0 sightings is kept
+            proptest::prop_assert_eq!(answer.to_json().render(), expected.to_json().render());
+            proptest::prop_assert_eq!(answer, expected);
+            for device in devices {
+                let board = leaderboard(&campaigns, device, top);
+                let expected = reference_leaderboard(&campaigns, device, top);
+                proptest::prop_assert_eq!(board.to_json().render(), expected.to_json().render());
+                proptest::prop_assert_eq!(board, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn nan_rewards_rank_after_every_number() {
+        // a `null` reward in an ingested report parses to NaN; with the
+        // former `partial_cmp(..).unwrap_or(Equal)` comparator this set
+        // made `sort_by` panic ("does not correctly implement a total order")
+        let reward = |i: usize| {
+            if i.is_multiple_of(3) {
+                f64::NAN
+            } else {
+                ((i * 37) % 50) as f64 / 50.0
+            }
+        };
+        let device = DeviceKind::RaspberryPi4;
+        let mut scenarios: Vec<_> = (0..30)
+            .map(|s| {
+                let r =
+                    |k: usize| Some(record(&format!("arch-{:02}", 3 * s + k), reward(3 * s + k)));
+                (0, device, "balanced", true, [r(0), r(1), r(2)])
+            })
+            .collect();
+        // a name sighted with NaN and then with a number keeps the number;
+        // one sighted only with NaN keeps its first sighting
+        scenarios.push((
+            1,
+            device,
+            "balanced",
+            true,
+            [
+                Some(record("arch-00", 0.25)),
+                Some(record("arch-03", f64::NAN)),
+                None,
+            ],
+        ));
+        let campaigns = synthetic_store(scenarios);
+
+        let board = leaderboard(&campaigns, device, 1000);
+        let answer = answer_query(
+            &campaigns,
+            &StoreQuery {
+                device: Some(device),
+                ..StoreQuery::default()
+            },
+        );
+        // NaN != NaN, so compare by sighting and reward bits
+        let key = |c: &Candidate| {
+            (
+                c.campaign.clone(),
+                c.scenario.clone(),
+                c.record.reward.to_bits(),
+            )
+        };
+        assert_eq!(
+            board.entries.iter().map(key).collect::<Vec<_>>(),
+            answer.candidates.iter().map(key).collect::<Vec<_>>()
+        );
+        assert_eq!(board.entries.len(), 90);
+        let numbers = board
+            .entries
+            .iter()
+            .take_while(|c| !c.record.reward.is_nan())
+            .count();
+        assert_eq!(numbers, 61, "60 numeric rewards plus arch-00's 0.25");
+        assert!(board.entries[..numbers]
+            .windows(2)
+            .all(|w| w[0].record.reward >= w[1].record.reward));
+        assert!(board.entries[numbers..]
+            .iter()
+            .all(|c| c.record.reward.is_nan()));
+        // NaNs tie on reward, so names order them
+        assert!(board.entries[numbers..]
+            .windows(2)
+            .all(|w| w[0].record.name < w[1].record.name));
+        let arch_00 = board
+            .entries
+            .iter()
+            .find(|c| c.record.name == "arch-00")
+            .unwrap();
+        assert_eq!(
+            (arch_00.campaign.as_str(), arch_00.record.reward),
+            ("c1", 0.25)
+        );
+        let arch_03 = board
+            .entries
+            .iter()
+            .find(|c| c.record.name == "arch-03")
+            .unwrap();
+        assert_eq!(arch_03.campaign, "c0");
     }
 }
