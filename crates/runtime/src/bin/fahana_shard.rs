@@ -60,7 +60,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::Instant;
 
-use fahana_runtime::serve::client_roundtrip;
+use fahana_runtime::serve::{client_exchange, ClientResponse};
 use fahana_runtime::{
     write_atomic, ArtifactStore, CampaignConfig, CampaignPlan, CampaignReport, CellAssignment,
     Json, Telemetry,
@@ -681,8 +681,8 @@ fn run(cli: Cli) -> Result<(), String> {
                 format!("{id}-{suffix}")
             };
             let target = format!("/ingest?id={attempt_id}");
-            let (status, body) =
-                client_roundtrip(&mut stream, "POST", &target, merged_json.as_bytes())
+            let ClientResponse { status, body, .. } =
+                client_exchange(&mut stream, "POST", &target, merged_json.as_bytes())
                     .map_err(|e| format!("POST {target} to {url}: {e}"))?;
             match status {
                 201 => break attempt_id,
@@ -690,8 +690,9 @@ fn run(cli: Cli) -> Result<(), String> {
                 _ => return Err(format!("POST {target} to {url} answered {status}: {body}")),
             }
         };
-        let (status, body) = client_roundtrip(&mut stream, "GET", "/healthz", b"")
-            .map_err(|e| format!("GET /healthz on {url}: {e}"))?;
+        let ClientResponse { status, body, .. } =
+            client_exchange(&mut stream, "GET", "/healthz", b"")
+                .map_err(|e| format!("GET /healthz on {url}: {e}"))?;
         let campaigns = Json::parse(&body)
             .ok()
             .and_then(|health| health.get("campaigns").and_then(Json::as_i64))

@@ -43,8 +43,10 @@ pub struct CampaignOutcome {
     pub threads: usize,
 }
 
-/// Runs a scenario grid concurrently on a work-stealing pool, sharing the
-/// evaluation cache and per-device latency tables across scenarios.
+/// Runs a scenario grid concurrently on the thread pool (the calling
+/// thread helps, taking the oldest queued scenario while workers take the
+/// newest), sharing the evaluation cache and per-device latency tables
+/// across scenarios.
 ///
 /// # Example
 ///
@@ -224,26 +226,7 @@ impl CampaignEngine {
             .gauge("fahana_cache_entries", "distinct evaluations memoised")
             .set(cache.len() as i64);
 
-        let pool = self.pool.stats();
-        for (path, count) in [
-            ("local", pool.local_pops),
-            ("injector", pool.injector_pops),
-            ("steal", pool.steals),
-        ] {
-            metrics
-                .counter_with(
-                    "fahana_pool_jobs_total",
-                    "pool jobs executed, by scheduling path",
-                    &[("path", path)],
-                )
-                .set(count);
-        }
-        metrics
-            .gauge("fahana_pool_threads", "pool worker threads")
-            .set(pool.threads as i64);
-        metrics
-            .gauge("fahana_pool_queue_depth", "jobs queued and not yet started")
-            .set(self.pool.queue_depth() as i64);
+        self.pool.monitor().export_metrics(metrics);
 
         if let Some(trace) = self.telemetry.trace() {
             trace.span(
@@ -254,8 +237,7 @@ impl CampaignEngine {
                     ("cache_hits".into(), Json::Int(stats.hits as i64)),
                     ("cache_misses".into(), Json::Int(stats.misses as i64)),
                     ("cache_entries".into(), Json::Int(cache.len() as i64)),
-                    ("pool_steals".into(), Json::Int(pool.steals as i64)),
-                    ("threads".into(), Json::Int(pool.threads as i64)),
+                    ("threads".into(), Json::Int(self.pool.threads() as i64)),
                 ],
             );
         }

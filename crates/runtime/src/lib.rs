@@ -6,7 +6,7 @@
 //! search-space configurations. This crate turns the single-search engine
 //! of [`fahana`] into a campaign system:
 //!
-//! * [`pool`] — a std-only work-stealing thread pool with a helping
+//! * [`pool`] — a std-only thread pool with one job queue and a helping
 //!   `map`, safe for nested parallelism (a pool job may fan out on the
 //!   same pool without deadlocking);
 //! * [`cache`] — an architecture-fingerprint-keyed evaluation cache behind

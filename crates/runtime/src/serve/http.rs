@@ -516,28 +516,6 @@ impl Response {
     }
 }
 
-/// One client-side HTTP exchange over an existing connection: sends the
-/// request (with `Connection: keep-alive`, so the same stream can carry
-/// the next exchange) and reads the `Content-Length`-framed response.
-/// Returns `(status, body)`.
-///
-/// This is the minimal client behind the `fahana-shard` coordinator's
-/// `--ingest-url` publishing (and the keep-alive tests): sequential
-/// request/response pairs on one connection, no pipelining.
-///
-/// # Errors
-///
-/// The underlying I/O error, or `InvalidData` when the peer's response is
-/// not parseable HTTP.
-pub fn client_roundtrip(
-    stream: &mut TcpStream,
-    method: &str,
-    target: &str,
-    body: &[u8],
-) -> std::io::Result<(u16, String)> {
-    client_exchange(stream, method, target, body).map(|response| (response.status, response.body))
-}
-
 /// A fully parsed client-side response: status, every header, the body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientResponse {
@@ -565,13 +543,21 @@ impl ClientResponse {
     }
 }
 
-/// [`client_roundtrip`], but returning the response headers as well — the
-/// load generator and the concurrency tests need `X-Fahana-Generation` to
-/// pin a body to the store state that produced it.
+/// One client-side HTTP exchange over an existing connection: sends the
+/// request (with `Connection: keep-alive`, so the same stream can carry
+/// the next exchange) and reads the `Content-Length`-framed response.
+///
+/// This is the minimal client behind the `fahana-shard` coordinator's
+/// `--ingest-url` publishing, the load generator and the serve tests:
+/// sequential request/response pairs on one connection, no pipelining.
+/// The response is read in chunks; since nothing is pipelined, bytes
+/// beyond the declared body are a protocol error, not the next response.
 ///
 /// # Errors
 ///
-/// As [`client_roundtrip`].
+/// The underlying I/O error (`UnexpectedEof` if the peer closes early),
+/// or `InvalidData` when the peer's response is not parseable HTTP or
+/// carries bytes past its `Content-Length`.
 pub fn client_exchange(
     stream: &mut TcpStream,
     method: &str,
@@ -587,19 +573,28 @@ pub fn client_exchange(
     stream.flush()?;
 
     let bad = |message: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, message);
-    // read the response head byte-wise up to the blank line (heads are
-    // tiny; byte-wise reads keep the body boundary exact without any
-    // reader-side buffering to hand back)
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD_BYTES {
+    let mut received = Vec::new();
+    let mut chunk = [0u8; 16 * 1024];
+    let head_end = loop {
+        // resume the terminator scan where the previous chunk left off
+        let scan_from = received.len().saturating_sub(3);
+        let read = stream.read(&mut chunk)?;
+        if read == 0 {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
+        received.extend_from_slice(&chunk[..read]);
+        if let Some(at) = received[scan_from..]
+            .windows(4)
+            .position(|window| window == b"\r\n\r\n")
+        {
+            break scan_from + at + 4;
+        }
+        if received.len() >= MAX_HEAD_BYTES {
             return Err(bad("response head too large"));
         }
-        stream.read_exact(&mut byte)?;
-        head.push(byte[0]);
-    }
-    let head = String::from_utf8(head).map_err(|_| bad("response head is not UTF-8"))?;
+    };
+    let mut body = received.split_off(head_end);
+    let head = String::from_utf8(received).map_err(|_| bad("response head is not UTF-8"))?;
     let mut lines = head.split("\r\n");
     let status: u16 = lines
         .next()
@@ -617,8 +612,12 @@ pub fn client_exchange(
             headers.push((name.to_string(), value.to_string()));
         }
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
+    if body.len() > content_length {
+        return Err(bad("response carries bytes past its Content-Length"));
+    }
+    let arrived = body.len();
+    body.resize(content_length, 0);
+    stream.read_exact(&mut body[arrived..])?;
     let body = String::from_utf8(body).map_err(|_| bad("response body is not UTF-8"))?;
     Ok(ClientResponse {
         status,
@@ -685,6 +684,56 @@ mod tests {
         assert_eq!(response.status, 404);
         assert_eq!(response.body, r#"{"error":"no such route"}"#);
         assert_eq!(status_text(409), "Conflict");
+    }
+
+    /// Serves one connection: answers each request it parses with the
+    /// matching canned response bytes, each sent in a single write.
+    fn serve_canned(replies: Vec<Vec<u8>>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut parser = RequestParser::new(1024);
+            let mut chunk = [0u8; 1024];
+            for reply in replies {
+                let mut request = parser.advance().unwrap();
+                while request.is_none() {
+                    let read = conn.read(&mut chunk).unwrap();
+                    request = parser.feed(&chunk[..read]).unwrap();
+                }
+                conn.write_all(&reply).unwrap();
+            }
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn client_reads_a_head_and_body_that_arrive_in_one_write() {
+        let first = Response::ok(r#"{"n":1}"#).to_bytes(true);
+        let second = Response::error(404, "gone").to_bytes(true);
+        let (addr, server) = serve_canned(vec![first, second]);
+        let mut stream = TcpStream::connect(addr).unwrap();
+
+        let response = client_exchange(&mut stream, "GET", "/a", b"").unwrap();
+        assert_eq!(response.status, 200);
+        assert_eq!(response.body, r#"{"n":1}"#);
+        assert_eq!(response.header("content-length"), Some("7"));
+        // the same connection carries the next exchange, framed afresh
+        let response = client_exchange(&mut stream, "POST", "/b", b"xy").unwrap();
+        assert_eq!(response.status, 404);
+        assert_eq!(response.body, r#"{"error":"gone"}"#);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn client_rejects_bytes_past_content_length() {
+        let mut reply = Response::ok("{}").to_bytes(true);
+        reply.extend_from_slice(b"extra");
+        let (addr, server) = serve_canned(vec![reply]);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let err = client_exchange(&mut stream, "GET", "/a", b"").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        server.join().unwrap();
     }
 
     #[test]

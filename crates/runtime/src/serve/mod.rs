@@ -14,8 +14,8 @@
 //! * [`http`] — hand-rolled HTTP/1.1 request parsing and JSON responses
 //!   (no hyper in the offline build): an incremental request parser with
 //!   head and body caps, and a minimal framed client
-//!   ([`client_roundtrip`], [`client_exchange`]) used by the
-//!   `fahana-shard` coordinator and the `fahana-loadgen` bench;
+//!   ([`client_exchange`]) used by the `fahana-shard` coordinator and
+//!   the `fahana-loadgen` bench;
 //! * [`cache`] — a generation-keyed [`ResponseCache`]: rendered read
 //!   responses valid for exactly one store generation, flushed wholesale
 //!   when `POST /ingest` bumps it, hot entries prerendered on every bump;
@@ -29,8 +29,7 @@
 //! * [`server`] — the [`Server`] accept loop, registering admitted
 //!   connections with the reactor (an in-flight gate ([`ServeOptions`])
 //!   still answers 503 + `Retry-After` at the door when saturated), over
-//!   the same work-stealing [`ThreadPool`](crate::pool::ThreadPool)
-//!   campaigns use;
+//!   the same [`ThreadPool`](crate::pool::ThreadPool) campaigns use;
 //! * [`obs`] — the serve-side observability context: per-endpoint request
 //!   counters and latency histograms (bounded label vocabulary), body
 //!   byte totals and keep-alive reuse, rendered as Prometheus text
@@ -78,7 +77,7 @@ pub mod server;
 pub mod view;
 
 pub use cache::{CacheLookup, CacheStatsSnapshot, ResponseCache};
-pub use http::{client_exchange, client_roundtrip, ClientResponse, Request, Response};
+pub use http::{client_exchange, ClientResponse, Request, Response};
 pub use obs::ServeTelemetry;
 pub use router::route;
 pub use server::{ServeOptions, Server, ServerHandle};

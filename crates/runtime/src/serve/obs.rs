@@ -229,26 +229,7 @@ impl ServeTelemetry {
             .gauge("fahana_store_campaigns", "campaigns in the store view")
             .set(view.campaigns().len() as i64);
         if let Some(pool) = &self.pool {
-            let stats = pool.stats();
-            for (path, count) in [
-                ("local", stats.local_pops),
-                ("injector", stats.injector_pops),
-                ("steal", stats.steals),
-            ] {
-                metrics
-                    .counter_with(
-                        "fahana_pool_jobs_total",
-                        "pool jobs executed, by scheduling path",
-                        &[("path", path)],
-                    )
-                    .set(count);
-            }
-            metrics
-                .gauge("fahana_pool_threads", "pool worker threads")
-                .set(stats.threads as i64);
-            metrics
-                .gauge("fahana_pool_queue_depth", "jobs queued and not yet started")
-                .set(pool.queue_depth() as i64);
+            pool.export_metrics(metrics);
         }
         if let Some(cache) = &self.cache {
             let stats = cache.stats();

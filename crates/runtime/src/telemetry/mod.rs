@@ -10,7 +10,7 @@
 //! | layer            | what gets recorded                                            |
 //! |------------------|---------------------------------------------------------------|
 //! | `CampaignEngine` | per-scenario spans (queue wait, eval time, hit ratio, rate)   |
-//! | `ThreadPool`     | jobs executed, local pops vs. steals, live queue depth        |
+//! | `ThreadPool`     | jobs executed, worker threads, live queue depth               |
 //! | `fahana-shard`   | per-attempt spans (outcome retry/salvage/rebalance), waves    |
 //! | `serve/`         | per-endpoint request counts + latency, bytes in/out, reuse    |
 //!

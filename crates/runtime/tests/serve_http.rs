@@ -11,6 +11,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use edgehw::DeviceKind;
+use fahana_runtime::serve::{client_exchange, ClientResponse};
 use fahana_runtime::{
     campaign_json, ArtifactStore, CampaignConfig, CampaignEngine, Json, RewardSetting,
     ServeOptions, Server, ServerHandle, StoreView,
@@ -210,43 +211,32 @@ fn keep_alive_reuses_one_connection_for_sequential_requests() {
     let mut stream = TcpStream::connect(addr).unwrap();
     let local = stream.local_addr().unwrap();
 
-    let (status, body) =
-        fahana_runtime::serve::client_roundtrip(&mut stream, "GET", "/healthz", b"").unwrap();
+    let ClientResponse { status, body, .. } =
+        client_exchange(&mut stream, "GET", "/healthz", b"").unwrap();
     assert_eq!(status, 200);
     assert!(body.contains(r#""campaigns":1"#), "{body}");
 
     let report = tiny_report(72);
-    let (status, body) = fahana_runtime::serve::client_roundtrip(
-        &mut stream,
-        "POST",
-        "/ingest?id=burst-1",
-        report.as_bytes(),
-    )
-    .unwrap();
+    let ClientResponse { status, body, .. } =
+        client_exchange(&mut stream, "POST", "/ingest?id=burst-1", report.as_bytes()).unwrap();
     assert_eq!(status, 201, "{body}");
     let report = tiny_report(73);
-    let (status, body) = fahana_runtime::serve::client_roundtrip(
-        &mut stream,
-        "POST",
-        "/ingest?id=burst-2",
-        report.as_bytes(),
-    )
-    .unwrap();
+    let ClientResponse { status, body, .. } =
+        client_exchange(&mut stream, "POST", "/ingest?id=burst-2", report.as_bytes()).unwrap();
     assert_eq!(status, 201, "{body}");
 
     // still the same TCP connection, and it observed its own publishes
-    let (status, body) =
-        fahana_runtime::serve::client_roundtrip(&mut stream, "GET", "/healthz", b"").unwrap();
+    let ClientResponse { status, body, .. } =
+        client_exchange(&mut stream, "GET", "/healthz", b"").unwrap();
     assert_eq!(status, 200);
     assert!(body.contains(r#""campaigns":3"#), "{body}");
     assert_eq!(stream.local_addr().unwrap(), local);
 
     // an error answer does not tear the connection down either
-    let (status, _) =
-        fahana_runtime::serve::client_roundtrip(&mut stream, "GET", "/nope", b"").unwrap();
+    let ClientResponse { status, .. } = client_exchange(&mut stream, "GET", "/nope", b"").unwrap();
     assert_eq!(status, 404);
-    let (status, _) =
-        fahana_runtime::serve::client_roundtrip(&mut stream, "GET", "/healthz", b"").unwrap();
+    let ClientResponse { status, .. } =
+        client_exchange(&mut stream, "GET", "/healthz", b"").unwrap();
     assert_eq!(status, 200);
 
     // `Connection: close` ends the reuse: the server answers close and
@@ -429,8 +419,8 @@ fn metrics_and_statusz_reflect_live_traffic() {
     // requests over one connection are two reuses
     let mut stream = TcpStream::connect(addr).unwrap();
     for _ in 0..3 {
-        let (status, _) =
-            fahana_runtime::serve::client_roundtrip(&mut stream, "GET", "/healthz", b"").unwrap();
+        let ClientResponse { status, .. } =
+            client_exchange(&mut stream, "GET", "/healthz", b"").unwrap();
         assert_eq!(status, 200);
     }
     drop(stream);
