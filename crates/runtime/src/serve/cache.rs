@@ -12,10 +12,9 @@
 //! cache), and an insert tagged with a stale generation is dropped on the
 //! floor instead of poisoning the fresh map.
 //!
-//! The map is bounded: past `capacity` entries, the oldest inserted entry
-//! is evicted (FIFO — the prerendered hot entries are inserted first and
-//! re-inserted on every flush, so a scan of distinct `/query` filters
-//! churns the tail, not the hot set). Hits, misses, evictions, and
+//! Nothing is rendered ahead of demand: a miss renders its own answer and
+//! caches only that. The map is bounded: past `capacity` entries, the
+//! oldest inserted entry is evicted (FIFO). Hits, misses, evictions, and
 //! invalidation flushes are counted on the cache itself and mirrored into
 //! the [`MetricsRegistry`](crate::telemetry::MetricsRegistry) at scrape
 //! time, the same way pool statistics are.
@@ -46,28 +45,10 @@ pub struct CacheStatsSnapshot {
     pub generation: u64,
 }
 
-/// What a cache lookup found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CacheLookup {
-    /// The exact response bytes rendered earlier this generation.
-    Hit(Response),
-    /// Nothing cached under this key. `flushed` is true when this lookup
-    /// is the first against a new generation and just emptied the map —
-    /// the router uses that edge to prerender the hot responses.
-    Miss {
-        /// Whether this lookup flushed a stale generation's entries.
-        flushed: bool,
-    },
-}
-
 #[derive(Debug, Default)]
 struct CacheMap {
     /// The generation every held entry was rendered from.
     generation: u64,
-    /// False until the first insert or lookup. The view's generation also
-    /// starts at 0, so without this flag the very first lookup would not
-    /// see a flush edge and nothing would trigger the initial prerender.
-    primed: bool,
     // fahana-lint: allow(hash-iter) never iterated for output: lookups are by exact key, eviction order comes from the FIFO deque
     entries: HashMap<String, Response>,
     /// Insertion order, oldest first, for FIFO eviction.
@@ -118,13 +99,14 @@ impl ResponseCache {
     /// invalidation); a lookup from an *older* generation (a request that
     /// raced a reload and lost) bypasses the cache entirely — stale bytes
     /// are never served, and a fresher map is never flushed backwards.
-    pub fn lookup(&self, key: &str, generation: u64) -> CacheLookup {
+    /// `Some` holds the exact response bytes rendered earlier this
+    /// generation.
+    pub fn lookup(&self, key: &str, generation: u64) -> Option<Response> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return CacheLookup::Miss { flushed: false };
+            return None;
         }
         let mut map = super::unpoison(self.map.lock());
-        let mut flushed = false;
         if generation > map.generation {
             let stale = map.entries.len();
             map.entries.clear();
@@ -133,27 +115,20 @@ impl ResponseCache {
             if stale > 0 {
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
             }
-            flushed = true;
         } else if generation < map.generation {
             // this request rendered from a view snapshot that is already
             // superseded; serve it fresh, leave the cache alone
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return CacheLookup::Miss { flushed: false };
-        }
-        if !map.primed {
-            // first-ever lookup: report the flush edge (so the caller
-            // prerenders the hot set) without clearing anything
-            map.primed = true;
-            flushed = true;
+            return None;
         }
         match map.entries.get(key) {
             Some(response) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                CacheLookup::Hit(response.clone())
+                Some(response.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                CacheLookup::Miss { flushed }
+                None
             }
         }
     }
@@ -170,7 +145,6 @@ impl ResponseCache {
         if generation != map.generation {
             return;
         }
-        map.primed = true;
         if map.entries.contains_key(&key) {
             // a concurrent miss on the same key won the race; both rendered
             // the same generation, so both hold identical bytes — keep the
@@ -227,16 +201,10 @@ mod tests {
     fn hit_after_insert_within_one_generation() {
         let cache = ResponseCache::new(8);
         let key = ResponseCache::key(&request("/catalog", &[]));
-        assert_eq!(
-            cache.lookup(&key, 0),
-            CacheLookup::Miss { flushed: true },
-            "the very first lookup establishes generation 0 over an empty map"
-        );
+        assert_eq!(cache.lookup(&key, 0), None);
         cache.insert(key.clone(), 0, response("catalog-bytes"));
-        match cache.lookup(&key, 0) {
-            CacheLookup::Hit(cached) => assert_eq!(cached.body, "catalog-bytes"),
-            miss => panic!("expected a hit, got {miss:?}"),
-        }
+        let cached = cache.lookup(&key, 0).expect("a hit after the insert");
+        assert_eq!(cached.body, "catalog-bytes");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
@@ -249,19 +217,19 @@ mod tests {
         cache.insert(key.clone(), 3, response("gen-3"));
 
         // a lookup from generation 4 must never see gen-3 bytes
-        assert_eq!(cache.lookup(&key, 4), CacheLookup::Miss { flushed: true });
+        assert_eq!(cache.lookup(&key, 4), None);
         assert_eq!(cache.stats().entries, 0, "flush is wholesale");
         assert_eq!(cache.stats().invalidations, 1);
 
         // an insert still tagged 3 (its render raced the reload) is dropped
         cache.insert(key.clone(), 3, response("gen-3-late"));
-        assert_eq!(cache.lookup(&key, 4), CacheLookup::Miss { flushed: false });
+        assert_eq!(cache.lookup(&key, 4), None);
 
         // and a late *lookup* from generation 3 bypasses rather than
         // flushing the fresher map backwards
         cache.insert(key.clone(), 4, response("gen-4"));
-        assert_eq!(cache.lookup(&key, 3), CacheLookup::Miss { flushed: false });
-        assert!(matches!(cache.lookup(&key, 4), CacheLookup::Hit(_)));
+        assert_eq!(cache.lookup(&key, 3), None);
+        assert_eq!(cache.lookup(&key, 4), Some(response("gen-4")));
     }
 
     #[test]
@@ -271,22 +239,18 @@ mod tests {
         cache.insert("a".into(), 0, response("a"));
         cache.insert("b".into(), 0, response("b"));
         cache.insert("c".into(), 0, response("c"));
-        assert_eq!(cache.lookup("a", 0), CacheLookup::Miss { flushed: false });
-        assert!(matches!(cache.lookup("b", 0), CacheLookup::Hit(_)));
-        assert!(matches!(cache.lookup("c", 0), CacheLookup::Hit(_)));
+        assert_eq!(cache.lookup("a", 0), None);
+        assert_eq!(cache.lookup("b", 0), Some(response("b")));
+        assert_eq!(cache.lookup("c", 0), Some(response("c")));
         assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = ResponseCache::new(0);
-        assert_eq!(
-            cache.lookup("a", 0),
-            CacheLookup::Miss { flushed: false },
-            "a disabled cache never reports a flush edge (nothing to prerender into)"
-        );
+        assert_eq!(cache.lookup("a", 0), None);
         cache.insert("a".into(), 0, response("a"));
-        assert_eq!(cache.lookup("a", 0), CacheLookup::Miss { flushed: false });
+        assert_eq!(cache.lookup("a", 0), None);
         assert_eq!(cache.stats().entries, 0);
     }
 

@@ -18,14 +18,14 @@
 //!   the `fahana-loadgen` bench;
 //! * [`cache`] — a generation-keyed [`ResponseCache`]: rendered read
 //!   responses valid for exactly one store generation, flushed wholesale
-//!   when `POST /ingest` bumps it, hot entries prerendered on every bump;
+//!   when `POST /ingest` bumps it, filled only by the reads clients send;
 //! * [`router`] — the endpoint table (see below);
 //! * `reactor` — the nonblocking readiness loop (one level-triggered
 //!   `poll(2)` interest set, hand-declared FFI): every accepted socket
-//!   lives here, idle keep-alive connections park off-worker, read
-//!   deadlines fire from its timer wheel, and only complete buffered
-//!   requests are dispatched to the pool, so connection count and
-//!   `--threads` are independent axes;
+//!   lives here, idle keep-alive connections park off-worker, each
+//!   connection's one read deadline sits in an ordered set, and only
+//!   complete buffered requests are dispatched to the pool, so
+//!   connection count and `--threads` are independent axes;
 //! * [`server`] — the [`Server`] accept loop, registering admitted
 //!   connections with the reactor (an in-flight gate ([`ServeOptions`])
 //!   still answers 503 + `Retry-After` at the door when saturated), over
@@ -76,7 +76,7 @@ pub mod router;
 pub mod server;
 pub mod view;
 
-pub use cache::{CacheLookup, CacheStatsSnapshot, ResponseCache};
+pub use cache::{CacheStatsSnapshot, ResponseCache};
 pub use http::{client_exchange, ClientResponse, Request, Response};
 pub use obs::ServeTelemetry;
 pub use router::route;

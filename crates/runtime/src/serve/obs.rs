@@ -199,14 +199,14 @@ impl ServeTelemetry {
         }
     }
 
-    /// Records a connection cut by the reactor's deadline wheel, by kind
+    /// Records a connection cut at its reactor read deadline, by kind
     /// (`idle`, `slowloris`, `write_stall`, `drain`).
     pub fn record_deadline_expiry(&self, kind: &'static str) {
         self.telemetry
             .metrics()
             .counter_with(
                 "fahana_serve_deadline_expirations_total",
-                "connections cut by the reactor deadline wheel, by kind",
+                "connections cut at their reactor read deadline, by kind",
                 &[("kind", kind)],
             )
             .inc();

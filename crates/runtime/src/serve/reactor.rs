@@ -14,9 +14,11 @@
 //! Readiness comes from one level-triggered `poll(2)` interest set (the
 //! [`PollSet`], over the hand-declared FFI shim in [`sys`] — the
 //! workspace is offline, so no `libc` crate). Read timeouts are not
-//! `SO_RCVTIMEO` on the socket: a hashed [`DeadlineWheel`] fires idle,
-//! slowloris, and write-stall deadlines inside the loop, so a slow
-//! client is timed out without ever occupying a worker.
+//! `SO_RCVTIMEO` on the socket: every connection has at most one current
+//! deadline, kept in an ordered set, and the loop sleeps until the
+//! soonest one and fires idle, slowloris, write-stall and drain
+//! deadlines itself, so a slow client is timed out without ever
+//! occupying a worker.
 //!
 //! The user-visible contract: 503-at-the-door backpressure (inline on
 //! the accept thread), slowloris 408s, 413/400 rejections from the
@@ -25,7 +27,7 @@
 //! through `Response::to_bytes`). Pinned by `tests/serve_load.rs` and
 //! `tests/serve_many_conns.rs`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
@@ -252,103 +254,6 @@ pub(crate) fn set_sndbuf(stream: &TcpStream, bytes: usize) -> io::Result<()> {
     Ok(())
 }
 
-/// A hashed timer wheel: deadline insertion and expiry are O(1) without
-/// a heap, at the cost of firing up to one granularity *late* — never
-/// early, because expiry re-checks `deadline <= now` before emitting.
-/// Cancellation is lazy: the owner compares the fired instant against
-/// the connection's *current* deadline and drops stale fires.
-struct DeadlineWheel {
-    slots: Vec<Vec<(u64, Instant)>>,
-    granularity: Duration,
-    cursor: usize,
-    origin: Instant,
-    pending: usize,
-}
-
-impl DeadlineWheel {
-    fn new(read_timeout: Duration, now: Instant) -> DeadlineWheel {
-        // ~64 ticks across the configured timeout keeps firing error
-        // under 2% of the timeout while bounding slot scans
-        let granularity = (read_timeout / 64).max(Duration::from_millis(1));
-        DeadlineWheel {
-            slots: (0..256).map(|_| Vec::new()).collect(),
-            granularity,
-            cursor: 0,
-            origin: now,
-            pending: 0,
-        }
-    }
-
-    fn insert(&mut self, token: u64, deadline: Instant, now: Instant) {
-        let offset = deadline.saturating_duration_since(now);
-        // ceil: the slot an entry lands in must END at-or-after the
-        // deadline, otherwise the guard would delay it a full rotation
-        let ticks = (offset.as_micros() as u64).div_ceil(self.granularity.as_micros().max(1) as u64)
-            as usize;
-        let ticks = ticks.min(self.slots.len() - 1);
-        let slot = (self.cursor + ticks) % self.slots.len();
-        self.slots[slot].push((token, deadline));
-        self.pending += 1;
-    }
-
-    /// Appends every entry whose deadline has passed to `due`, advancing
-    /// the wheel cursor to `now`. Entries parked in a passed slot whose
-    /// real deadline is still ahead (they were clamped to the last slot)
-    /// are re-inserted relative to `now`.
-    fn collect_due(&mut self, now: Instant, due: &mut Vec<(u64, Instant)>) {
-        if self.pending == 0 {
-            // nothing tracked: snap the origin forward so a long idle
-            // period does not replay as thousands of empty ticks
-            self.origin = now;
-            return;
-        }
-        while now.duration_since(self.origin) >= self.granularity {
-            let expired = std::mem::take(&mut self.slots[self.cursor]);
-            self.origin += self.granularity;
-            self.cursor = (self.cursor + 1) % self.slots.len();
-            for (token, deadline) in expired {
-                self.pending -= 1;
-                if deadline <= now {
-                    due.push((token, deadline));
-                } else {
-                    self.insert(token, deadline, now);
-                }
-            }
-        }
-        // the current (partial) tick may already hold due entries
-        let slot = &mut self.slots[self.cursor];
-        let mut index = 0;
-        while index < slot.len() {
-            if slot[index].1 <= now {
-                due.push(slot.swap_remove(index));
-                self.pending -= 1;
-            } else {
-                index += 1;
-            }
-        }
-    }
-
-    /// How long the reactor may sleep before the next deadline could
-    /// fire; `None` when nothing is tracked.
-    fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        if self.pending == 0 {
-            return None;
-        }
-        for ahead in 0..self.slots.len() {
-            let slot = (self.cursor + ahead) % self.slots.len();
-            if self.slots[slot].is_empty() {
-                continue;
-            }
-            // sleep to the END of the occupied tick so its entries are
-            // certainly due when the wait returns
-            let end = self.origin + self.granularity * (ahead as u32 + 1);
-            let sleep = end.saturating_duration_since(now);
-            return Some(sleep.max(Duration::from_millis(1)));
-        }
-        Some(self.granularity)
-    }
-}
-
 /// A response rendered by a pool worker, waiting for the reactor to
 /// write it to the connection identified by `token`.
 struct Completion {
@@ -486,13 +391,12 @@ pub(crate) fn spawn_reactor(
         wake_writer,
         shutdown: AtomicBool::new(false),
     });
-    let now = Instant::now();
     let mut reactor = Reactor {
         readiness,
         wake_reader,
         shared: Arc::clone(&shared),
         conns: HashMap::new(),
-        wheel: DeadlineWheel::new(config.read_timeout, now),
+        deadlines: BTreeSet::new(),
         next_token: 0,
         parked: 0,
         pool,
@@ -541,8 +445,8 @@ struct Conn {
     parser: RequestParser,
     state: ConnState,
     served: usize,
-    /// The wheel deadline this connection currently honors; a fired
-    /// entry that no longer matches is stale and ignored.
+    /// When this connection times out, if it can; mirrored by its one
+    /// entry in `Reactor::deadlines`, and written only by `Reactor::arm`.
     deadline: Option<Instant>,
     /// The peer half-closed (EOF observed) — finish the in-flight
     /// response, then close instead of re-parking.
@@ -573,7 +477,9 @@ struct Reactor {
     wake_reader: RawFd,
     shared: Arc<ReactorShared>,
     conns: HashMap<u64, Conn>,
-    wheel: DeadlineWheel,
+    /// `(deadline, token)` for every connection whose deadline is set,
+    /// soonest first: exactly one entry per such connection.
+    deadlines: BTreeSet<(Instant, u64)>,
     next_token: u64,
     parked: usize,
     pool: Arc<ThreadPool>,
@@ -588,9 +494,17 @@ struct Reactor {
 impl Reactor {
     fn run(&mut self) {
         let mut events = Vec::new();
-        let mut due = Vec::new();
         loop {
-            let timeout = self.wheel.next_timeout(Instant::now());
+            debug_assert!(
+                self.deadlines.len() <= self.conns.len(),
+                "{} deadlines for {} connections",
+                self.deadlines.len(),
+                self.conns.len()
+            );
+            let timeout = self
+                .deadlines
+                .first()
+                .map(|&(deadline, _)| deadline.saturating_duration_since(Instant::now()));
             if let Err(err) = self.readiness.wait(timeout, &mut events) {
                 // a broken readiness source is unrecoverable; closing
                 // everything beats spinning on the same error forever
@@ -607,9 +521,12 @@ impl Reactor {
             self.adopt_registrations();
             self.apply_completions();
             let now = Instant::now();
-            self.wheel.collect_due(now, &mut due);
-            for (token, fired) in due.drain(..) {
-                self.handle_deadline(token, fired, now);
+            while let Some(&(deadline, token)) = self.deadlines.first() {
+                if deadline > now {
+                    break;
+                }
+                self.arm(token, None);
+                self.handle_deadline(token);
             }
         }
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
@@ -719,7 +636,6 @@ impl Reactor {
             // honor the client's wish, but advertise close on the
             // connection's last allowed request
             let keep_alive = request.keep_alive && conn.served < MAX_REQUESTS_PER_CONNECTION;
-            conn.deadline = None;
             conn.state = ConnState::Dispatched;
             let was_parked = std::mem::replace(&mut conn.parked, false);
             (conn.stream.as_raw_fd(), keep_alive, was_parked)
@@ -728,6 +644,7 @@ impl Reactor {
             self.parked -= 1;
             self.instruments.parked.set(self.parked as i64);
         }
+        self.arm(token, None);
         self.readiness.set(fd, token, 0);
         self.instruments.dispatches.inc();
         let view = Arc::clone(&self.view);
@@ -762,20 +679,16 @@ impl Reactor {
     }
 
     fn start_write(&mut self, token: u64, bytes: Vec<u8>, keep_alive: bool, drain: bool) {
-        let deadline = Instant::now() + self.config.read_timeout;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            conn.state = ConnState::Writing {
-                bytes,
-                written: 0,
-                keep_alive,
-                drain,
-            };
-            conn.deadline = Some(deadline);
-        }
-        self.wheel.insert(token, deadline, Instant::now());
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        conn.state = ConnState::Writing {
+            bytes,
+            written: 0,
+            keep_alive,
+            drain,
+        };
+        self.arm(token, Some(Instant::now() + self.config.read_timeout));
         self.progress_write(token);
     }
 
@@ -824,8 +737,7 @@ impl Reactor {
     }
 
     fn finish_write(&mut self, token: u64, keep_alive: bool, drain: bool) {
-        let now = Instant::now();
-        let deadline = now + self.config.read_timeout;
+        let deadline = Instant::now() + self.config.read_timeout;
         enum Next {
             Close,
             Drain(RawFd),
@@ -842,7 +754,6 @@ impl Reactor {
                     Next::Close
                 } else {
                     conn.state = ConnState::Draining;
-                    conn.deadline = Some(deadline);
                     conn.stream.shutdown(std::net::Shutdown::Write).ok();
                     Next::Drain(conn.stream.as_raw_fd())
                 }
@@ -856,10 +767,7 @@ impl Reactor {
                     Ok(Some(request)) => Next::Pipelined(request),
                     Err(bad) => Next::Malformed(bad),
                     Ok(None) => {
-                        conn.deadline = Some(deadline);
-                        if !conn.parked {
-                            conn.parked = true;
-                        }
+                        conn.parked = true;
                         Next::Park(conn.stream.as_raw_fd())
                     }
                 }
@@ -868,7 +776,7 @@ impl Reactor {
         match next {
             Next::Close => self.close(token),
             Next::Drain(fd) => {
-                self.wheel.insert(token, deadline, now);
+                self.arm(token, Some(deadline));
                 self.readiness.set(fd, token, INTEREST_READ);
                 // the peer may already have buffered bytes to discard
                 self.progress_drain(token);
@@ -876,7 +784,7 @@ impl Reactor {
             Next::Park(fd) => {
                 self.parked += 1;
                 self.instruments.parked.set(self.parked as i64);
-                self.wheel.insert(token, deadline, now);
+                self.arm(token, Some(deadline));
                 self.readiness.set(fd, token, INTEREST_READ);
             }
             Next::Pipelined(request) => {
@@ -919,7 +827,9 @@ impl Reactor {
         }
     }
 
-    fn handle_deadline(&mut self, token: u64, fired: Instant, now: Instant) {
+    /// Acts on a connection whose deadline has passed; the loop has
+    /// already cleared that deadline.
+    fn handle_deadline(&mut self, token: u64) {
         enum Expiry {
             CloseQuiet(&'static str),
             Slowloris(BadRequest),
@@ -928,12 +838,6 @@ impl Reactor {
             let Some(conn) = self.conns.get(&token) else {
                 return;
             };
-            // stale wheel entries: the deadline was re-armed or cleared
-            // after this entry was inserted
-            match conn.deadline {
-                Some(deadline) if deadline == fired && deadline <= now => {}
-                _ => return,
-            }
             match &conn.state {
                 ConnState::Reading if conn.parser.is_empty() => Expiry::CloseQuiet("idle"),
                 ConnState::Reading => Expiry::Slowloris(BadRequest::timeout(format!(
@@ -968,7 +872,6 @@ impl Reactor {
             let token = self.next_token;
             self.next_token += 1;
             self.readiness.set(stream.as_raw_fd(), token, INTEREST_READ);
-            let deadline = now + self.config.read_timeout;
             self.conns.insert(
                 token,
                 Conn {
@@ -976,14 +879,14 @@ impl Reactor {
                     parser: RequestParser::new(self.config.max_body_bytes),
                     state: ConnState::Reading,
                     served: 0,
-                    deadline: Some(deadline),
+                    deadline: None,
                     read_closed: false,
                     parked: true,
                 },
             );
             self.parked += 1;
             self.instruments.parked.set(self.parked as i64);
-            self.wheel.insert(token, deadline, now);
+            self.arm(token, Some(now + self.config.read_timeout));
             // any bytes that raced ahead of registration are reported by
             // the next level-triggered wait; no manual kick needed
         }
@@ -1008,7 +911,23 @@ impl Reactor {
         }
     }
 
+    /// Replaces `token`'s deadline with `deadline` (`None` clears it).
+    /// The only writer of `Conn::deadline` and of `deadlines`, so the set
+    /// holds exactly each connection's current deadline.
+    fn arm(&mut self, token: u64, deadline: Option<Instant>) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if let Some(old) = std::mem::replace(&mut conn.deadline, deadline) {
+            self.deadlines.remove(&(old, token));
+        }
+        if let Some(new) = deadline {
+            self.deadlines.insert((new, token));
+        }
+    }
+
     fn close(&mut self, token: u64) {
+        self.arm(token, None);
         if let Some(conn) = self.conns.remove(&token) {
             if conn.parked {
                 self.parked -= 1;
@@ -1028,55 +947,6 @@ impl Reactor {
 mod tests {
     use super::*;
     use std::net::TcpListener;
-
-    #[test]
-    fn wheel_never_fires_early_and_fires_soon_after() {
-        let now = Instant::now();
-        let mut wheel = DeadlineWheel::new(Duration::from_millis(640), now);
-        assert_eq!(wheel.granularity, Duration::from_millis(10));
-        let soon = now + Duration::from_millis(25);
-        let far = now + Duration::from_secs(30);
-        wheel.insert(1, soon, now);
-        wheel.insert(2, far, now);
-
-        let mut due = Vec::new();
-        wheel.collect_due(now, &mut due);
-        assert!(due.is_empty(), "fired {}ms early", 25);
-
-        // just before the first deadline: still nothing
-        wheel.collect_due(now + Duration::from_millis(24), &mut due);
-        assert!(due.is_empty(), "fired before the deadline: {due:?}");
-
-        // after it: exactly token 1, carrying its original instant
-        wheel.collect_due(now + Duration::from_millis(41), &mut due);
-        assert_eq!(due.len(), 1, "{due:?}");
-        assert_eq!(due[0].0, 1);
-        assert_eq!(due[0].1, soon);
-        assert_eq!(wheel.pending, 1);
-
-        // the far deadline survives cursor rotation (clamped re-insert)
-        due.clear();
-        wheel.collect_due(now + Duration::from_secs(3), &mut due);
-        assert!(due.is_empty(), "far deadline fired early: {due:?}");
-        assert_eq!(wheel.pending, 1);
-    }
-
-    #[test]
-    fn wheel_next_timeout_targets_first_occupied_slot() {
-        let now = Instant::now();
-        let mut wheel = DeadlineWheel::new(Duration::from_millis(640), now);
-        assert!(
-            wheel.next_timeout(now).is_none(),
-            "idle wheel must not tick"
-        );
-        wheel.insert(7, now + Duration::from_millis(35), now);
-        let sleep = wheel.next_timeout(now).unwrap();
-        // tick end covering 35ms at 10ms granularity is 40ms out
-        assert!(
-            sleep >= Duration::from_millis(35) && sleep <= Duration::from_millis(50),
-            "{sleep:?}"
-        );
-    }
 
     #[test]
     fn poll_backend_reports_readable_with_token() {

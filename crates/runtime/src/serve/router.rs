@@ -8,11 +8,9 @@
 //! Read endpoints flow through the generation-keyed [`ResponseCache`]: the
 //! router takes one consistent [`Snapshot`] per request, serves cached
 //! bytes when the same question was already rendered this generation,
-//! and — on the first request of a *new* generation — prerenders the hot
-//! responses (`/catalog`, `/campaigns`, every `/leaderboard/{device}`) so
-//! an ingest never leaves the next burst of traffic cold. The catalog is
-//! not rendered here: the view renders it once per generation, and
-//! `/catalog` (prerendered or not) copies the snapshot's bytes. Each
+//! and otherwise renders the answer and caches exactly that answer. The
+//! catalog is not rendered here: the view renders it once per
+//! generation, and `/catalog` copies the snapshot's bytes. Each
 //! leaderboard ranks borrowed records through the store's ranking core
 //! and clones only its `top` entries; unlike `/query`, it merges no
 //! Pareto frontier. Cached or not, read responses carry an
@@ -21,7 +19,7 @@
 use edgehw::DeviceKind;
 
 use crate::report::Json;
-use crate::serve::cache::{CacheLookup, ResponseCache};
+use crate::serve::cache::ResponseCache;
 use crate::serve::http::{Request, Response};
 use crate::serve::obs::ServeTelemetry;
 use crate::serve::view::{Snapshot, StoreView};
@@ -59,62 +57,16 @@ pub fn route(
     let generation = snapshot.generation;
     if request.method == "GET" && is_read_path(&request.path) {
         let key = ResponseCache::key(request);
-        match cache.lookup(&key, generation) {
-            CacheLookup::Hit(response) => return response,
-            CacheLookup::Miss { flushed } => {
-                if flushed {
-                    prerender(cache, &snapshot);
-                    // the prerender may have produced exactly this answer
-                    if let CacheLookup::Hit(response) = cache.lookup(&key, generation) {
-                        return response;
-                    }
-                }
-                let response = route_read(request, &snapshot).with_generation(generation);
-                if response.status == 200 {
-                    cache.insert(key, generation, response.clone());
-                }
-                return response;
-            }
+        if let Some(response) = cache.lookup(&key, generation) {
+            return response;
         }
+        let response = route_read(request, &snapshot).with_generation(generation);
+        if response.status == 200 {
+            cache.insert(key, generation, response.clone());
+        }
+        return response;
     }
     route_read(request, &snapshot)
-}
-
-/// Fills the cache's hot set for the view's current generation. The
-/// server calls this once at bind time; after that, the flush edge in
-/// [`route`] re-warms the cache on every generation bump.
-pub(crate) fn warm(cache: &ResponseCache, view: &StoreView) {
-    prerender(cache, &view.snapshot());
-}
-
-/// Renders the hot read responses into the cache for a fresh generation:
-/// the catalog (copied from the snapshot), the campaign summary, and
-/// every device leaderboard. The leaderboards are the part that grows
-/// with the store: each walks every campaign's matching scenarios, but
-/// ranks borrowed records, sorts only one per architecture name and
-/// merges no frontier, so the flush edge costs a scan, not a query.
-fn prerender(cache: &ResponseCache, snapshot: &Snapshot) {
-    let generation = snapshot.generation;
-    let hot = ["/catalog".to_string(), "/campaigns".to_string()]
-        .into_iter()
-        .chain(
-            DeviceKind::all()
-                .into_iter()
-                .map(|device| format!("/leaderboard/{}", device.slug())),
-        );
-    for path in hot {
-        let request = Request {
-            method: "GET".into(),
-            path,
-            query: Vec::new(),
-            body: Vec::new(),
-            keep_alive: true,
-        };
-        let response = route_read(&request, snapshot).with_generation(generation);
-        if response.status == 200 {
-            cache.insert(ResponseCache::key(&request), generation, response);
-        }
-    }
 }
 
 /// The pure read surface: every handler here is a function of the
@@ -403,26 +355,31 @@ mod tests {
         let obs = ServeTelemetry::disabled();
         let cache = ResponseCache::new(64);
 
-        // first read of generation 0: a miss that prerenders the hot set
+        // first read of generation 0: a miss that caches exactly its own
+        // answer and nothing else
         let first = route(&get("/query"), &view, &obs, &cache);
         assert_eq!(first.status, 200);
         assert_eq!(first.generation, Some(0));
         let stats = cache.stats();
-        assert!(
-            stats.entries > 2,
-            "prerender filled catalog + campaigns + leaderboards: {stats:?}"
-        );
-        let hits_before = stats.hits;
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
+        let key = ResponseCache::key(&get("/query"));
+        assert_eq!(cache.lookup(&key, 0).as_ref(), Some(&first));
 
         // the same question again is a hit with identical bytes
         let second = route(&get("/query"), &view, &obs, &cache);
         assert_eq!(second, first, "cached bytes must be byte-identical");
-        assert_eq!(cache.stats().hits, hits_before + 1);
+        assert_eq!(cache.stats().hits, 2);
 
-        // the prerendered catalog is served without a render miss
+        // another question is its own miss, then its own hit
         let catalog_response = route(&get("/catalog"), &view, &obs, &cache);
         assert_eq!(catalog_response.generation, Some(0));
-        assert_eq!(cache.stats().hits, hits_before + 2);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2));
+        assert_eq!(
+            route(&get("/catalog"), &view, &obs, &cache),
+            catalog_response
+        );
+        assert_eq!(cache.stats().hits, 3);
 
         // an ingest bumps the generation: the old bytes are flushed and
         // the fresh answer reflects both campaigns

@@ -16,8 +16,8 @@
 //! connection number `max_inflight + 1` is answered `503 Service
 //! Unavailable` with a `Retry-After` header *inline on the accept thread*
 //! (never queued behind the saturated pool) and closed. Read deadlines
-//! ([`ServeOptions::read_timeout`]) come from the reactor's timer wheel,
-//! not `SO_RCVTIMEO`, so a slowloris peer gets its `408` without ever
+//! ([`ServeOptions::read_timeout`]) are kept by the reactor, one per
+//! connection, not by `SO_RCVTIMEO`, so a slowloris peer gets its `408` without ever
 //! occupying a worker; oversized bodies still draw a `413` at
 //! [`ServeOptions::max_body_bytes`].
 
@@ -32,7 +32,6 @@ use crate::serve::cache::ResponseCache;
 use crate::serve::http::{Response, DEFAULT_MAX_BODY_BYTES, DEFAULT_READ_TIMEOUT};
 use crate::serve::obs::ServeTelemetry;
 use crate::serve::reactor::{set_sndbuf, spawn_reactor, ReactorConfig};
-use crate::serve::router::warm;
 use crate::serve::view::StoreView;
 use crate::telemetry::Telemetry;
 
@@ -56,7 +55,7 @@ pub struct ServeOptions {
     /// answered 503 + `Retry-After` at the door.
     pub max_inflight: usize,
     /// Whole-request read deadline (slowloris cutoff) and keep-alive idle
-    /// timeout, applied by the reactor's deadline wheel.
+    /// timeout, kept by the reactor as one deadline per connection.
     pub read_timeout: Duration,
     /// Largest accepted request body; beyond it the request is answered
     /// 413 without buffering the body.
@@ -139,8 +138,7 @@ impl Server {
     }
 
     /// Binds to `addr` with explicit [`ServeOptions`]. The response
-    /// cache's hot entries are prerendered before the first connection is
-    /// accepted.
+    /// cache starts empty and fills as clients ask.
     ///
     /// # Errors
     ///
@@ -153,7 +151,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let pool = Arc::new(ThreadPool::new(options.threads));
         let cache = Arc::new(ResponseCache::new(options.cache_capacity));
-        warm(&cache, &view);
         let obs = Arc::new(ServeTelemetry::new(
             Telemetry::disabled(),
             Some(pool.monitor()),

@@ -286,9 +286,15 @@ fn slowloris_half_request_gets_408_at_the_deadline() {
     // zero bytes: a quiet close, not a 408 — this is what an idle
     // kept-alive scraper connection looks like
     let mut idle = TcpStream::connect(addr).unwrap();
+    let started = Instant::now();
     let mut raw = Vec::new();
     idle.read_to_end(&mut raw).unwrap();
+    let elapsed = started.elapsed();
     assert!(raw.is_empty(), "{:?}", String::from_utf8_lossy(&raw));
+    assert!(
+        elapsed >= Duration::from_millis(200),
+        "the idle close must wait for the deadline, never fire early ({elapsed:?})"
+    );
 
     handle.shutdown();
     runner.join().unwrap();
