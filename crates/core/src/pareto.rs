@@ -118,14 +118,47 @@ where
 }
 
 /// The frontier core behind [`pareto_frontier`] and [`merge_frontiers`]:
-/// filters, sorts and dedupes borrowed points, then clones the survivors.
-/// No point dominates an equal one (`dominates` needs a strict
-/// improvement), so the filter needs no self-exclusion.
+/// finds the survivors with a sort and a running-minimum sweep, sorts and
+/// dedupes them, then clones them. `O(n log n)` in the points.
+///
+/// A point with a NaN objective compares false against everything, so it
+/// is never dominated and dominates nothing: it always survives. The
+/// other points are swept best first (`maximize` descending, `minimize`
+/// ascending). Within one `maximize` value only the points at the
+/// smallest `minimize` survive, and only if that `minimize` is below every
+/// one seen at a larger `maximize`.
 fn frontier_of(points: &[&ParetoPoint]) -> Vec<ParetoPoint> {
+    let mut survives: Vec<bool> = points
+        .iter()
+        .map(|p| p.maximize.is_nan() || p.minimize.is_nan())
+        .collect();
+    // (maximize, minimize, index) of every comparable point, best first;
+    // which points survive does not depend on the order of equal keys
+    let mut order: Vec<(f64, f64, usize)> = points
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !survives[i])
+        .map(|(i, p)| (p.maximize, p.minimize, i))
+        .collect();
+    order
+        .sort_unstable_by(|a, b| descending_nan_last(a.0, b.0).then(descending_nan_last(b.1, a.1)));
+    // the smallest `minimize` among points with a strictly larger `maximize`
+    let mut best: Option<f64> = None;
+    for group in order.chunk_by(|a, b| a.0 == b.0) {
+        let least = group[0].1;
+        if best.is_none_or(|best| least < best) {
+            for &(_, _, i) in group.iter().take_while(|p| p.1 == least) {
+                survives[i] = true;
+            }
+            best = Some(least);
+        }
+    }
+    // filter in input order, then the same stable sort and adjacent dedupe
+    // as the quadratic filter this replaces, so ties and NaNs land alike
     let mut frontier: Vec<&ParetoPoint> = points
         .iter()
-        .copied()
-        .filter(|candidate| !points.iter().any(|other| other.dominates(candidate)))
+        .zip(&survives)
+        .filter_map(|(&point, &survives)| survives.then_some(point))
         .collect();
     frontier.sort_by(|a, b| descending_nan_last(a.maximize, b.maximize));
     frontier.dedup_by(|a, b| a.maximize == b.maximize && a.minimize == b.minimize);
@@ -331,6 +364,28 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_minimize_point_keeps_equal_neighbours_apart() {
+        // the dedupe compares each point with the last one kept, and a
+        // NaN equals nothing, so both copies of (0.5, 0.1) survive
+        let points = vec![
+            ParetoPoint::new("first", 0.5, 0.1),
+            ParetoPoint::new("nan", 0.5, f64::NAN),
+            ParetoPoint::new("second", 0.5, 0.1),
+            ParetoPoint::new("third", 0.5, 0.1),
+            ParetoPoint::new("dominated", 0.4, 0.1),
+        ];
+        let labels: Vec<String> = pareto_frontier(&points)
+            .into_iter()
+            .map(|p| p.label)
+            .collect();
+        assert_eq!(labels, ["first", "nan", "second"]);
+        assert_eq!(
+            exact(&pareto_frontier(&points)),
+            exact(&reference_frontier(&points))
+        );
+    }
+
+    #[test]
     fn descending_nan_last_keeps_signed_zeros_tied() {
         use std::cmp::Ordering::*;
         assert_eq!(descending_nan_last(0.0, -0.0), Equal);
@@ -342,18 +397,21 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
         #[test]
         fn prop_frontier_matches_the_self_excluding_reference(
-            xs in proptest::collection::vec((0usize..6, 0usize..6, 0usize..4), 0..30),
+            xs in proptest::collection::vec((0usize..7, 0usize..8, 0usize..4), 0..30),
             split in 0usize..30,
         ) {
             // a coarse grid with both signed zeros forces equal points,
-            // tied objectives and repeated labels
-            let grid = [-0.0, 0.0, 0.25, 0.5, 0.75, 1.0];
+            // tied objectives and repeated labels; infinities sit at the
+            // ends of the sweep, and a NaN `minimize` is never dominated
+            // yet splits runs of equal points for the dedupe
+            let maximize = [f64::NEG_INFINITY, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0];
+            let minimize = [-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, f64::INFINITY, f64::NAN];
             let points: Vec<ParetoPoint> = xs
                 .iter()
-                .map(|&(a, b, l)| ParetoPoint::new(format!("p{l}"), grid[a], grid[b]))
+                .map(|&(a, b, l)| ParetoPoint::new(format!("p{l}"), maximize[a], minimize[b]))
                 .collect();
             let expected = exact(&reference_frontier(&points));
             prop_assert_eq!(exact(&pareto_frontier(&points)), expected.clone());

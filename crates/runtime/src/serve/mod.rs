@@ -23,8 +23,9 @@
 //! * `reactor` — the nonblocking readiness loop (one level-triggered
 //!   `poll(2)` interest set, hand-declared FFI): every accepted socket
 //!   lives here, idle keep-alive connections park off-worker, each
-//!   connection's one read deadline sits in an ordered set, and only
-//!   complete buffered requests are dispatched to the pool, so
+//!   connection's one read deadline sits in an ordered set, a complete
+//!   request that hits the response cache is written back inline, and
+//!   only misses and uncached endpoints are dispatched to the pool, so
 //!   connection count and `--threads` are independent axes;
 //! * [`server`] — the [`Server`] accept loop, registering admitted
 //!   connections with the reactor (an in-flight gate ([`ServeOptions`])

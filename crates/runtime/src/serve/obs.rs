@@ -25,7 +25,8 @@ pub struct ReactorInstruments {
     pub parked: Gauge,
     /// `fahana_serve_reactor_wakeups_total`: loop iterations.
     pub wakeups: Counter,
-    /// `fahana_serve_reactor_dispatches_total`: requests handed to the pool.
+    /// `fahana_serve_reactor_dispatches_total`: requests handed to the
+    /// pool (cache misses and uncached endpoints; hits are answered inline).
     pub dispatches: Counter,
     /// `fahana_serve_reactor_partial_writes_total`: WOULDBLOCK re-arms.
     pub partial_writes: Counter,
@@ -190,7 +191,7 @@ impl ServeTelemetry {
             ),
             dispatches: metrics.counter(
                 "fahana_serve_reactor_dispatches_total",
-                "complete requests handed from the reactor to the pool",
+                "requests handed from the reactor to the pool: cache misses and uncached endpoints only",
             ),
             partial_writes: metrics.counter(
                 "fahana_serve_reactor_partial_writes_total",

@@ -3,13 +3,18 @@
 //!
 //! No connection pins a [`ThreadPool`] worker for its keep-alive
 //! lifetime, so concurrency is not capped at `--threads`: all sockets
-//! live here in nonblocking mode, idle keep-alive connections are *parked* (watched
-//! for readability, costing no worker), and a connection only touches
-//! the pool once a complete request is buffered — the worker routes it,
-//! renders the response bytes, and hands them straight back to the
-//! reactor, which writes them out with per-connection write buffers and
-//! `WOULDBLOCK` re-arming. Thousands of mostly-idle connections share a
-//! two-thread pool.
+//! live here in nonblocking mode, and idle keep-alive connections are
+//! *parked* (watched for readability, costing no worker). Once a request
+//! is complete, the reactor looks it up in the response cache itself: a
+//! hit already holds the rendered bytes, so the reactor writes them
+//! straight to the socket, and the pool, the completion queue and the
+//! wake pipe are never involved. Only a miss or an uncached request
+//! (`/metrics`, `/statusz`, `POST /ingest`, any non-`GET`) goes to a pool
+//! worker, which renders the response bytes and hands them back to the
+//! reactor. Either way the reactor writes them out with per-connection
+//! write buffers and `WOULDBLOCK` re-arming, and answers any requests a
+//! peer pipelined behind them in a loop. Thousands of mostly-idle
+//! connections share a two-thread pool.
 //!
 //! Readiness comes from one level-triggered `poll(2)` interest set (the
 //! [`PollSet`], over the hand-declared FFI shim in [`sys`] — the
@@ -39,7 +44,7 @@ use crate::pool::ThreadPool;
 use crate::serve::cache::ResponseCache;
 use crate::serve::http::{BadRequest, Request, RequestParser, Response};
 use crate::serve::obs::{ReactorInstruments, ServeTelemetry};
-use crate::serve::router::route;
+use crate::serve::router;
 use crate::serve::server::MAX_REQUESTS_PER_CONNECTION;
 use crate::serve::view::StoreView;
 
@@ -260,6 +265,26 @@ struct Completion {
     token: u64,
     bytes: Vec<u8>,
     keep_alive: bool,
+}
+
+/// Serializes `response` for the wire and records it as one handled
+/// request, timed from `handling`.
+fn account(
+    obs: &ServeTelemetry,
+    request: &Request,
+    response: &Response,
+    keep_alive: bool,
+    handling: Instant,
+) -> Vec<u8> {
+    let bytes = response.to_bytes(keep_alive);
+    obs.record_request(
+        &request.path,
+        response.status,
+        handling.elapsed(),
+        request.body.len(),
+        bytes.len(),
+    );
+    bytes
 }
 
 /// State shared between the accept thread, pool workers, and the
@@ -512,11 +537,14 @@ impl Reactor {
                 break;
             }
             self.instruments.wakeups.inc();
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                break;
-            }
             for event in events.drain(..) {
                 self.handle_event(event);
+            }
+            // checked after this batch drained the wake pipe: a shutdown
+            // byte written while the batch was handled is consumed with
+            // it, and checking first would then sleep through it
+            if self.shared.shutdown.load(Ordering::Acquire) {
+                break;
             }
             self.adopt_registrations();
             self.apply_completions();
@@ -553,7 +581,11 @@ impl Reactor {
             // interest is zero while dispatched, so any report here is an
             // unsolicited error/hangup: the peer is gone
             ConnState::Dispatched => self.close(event.token),
-            ConnState::Writing { .. } if event.writable => self.progress_write(event.token),
+            ConnState::Writing { .. } if event.writable => {
+                if let Some(request) = self.progress_write(event.token) {
+                    self.dispatch(event.token, request);
+                }
+            }
             ConnState::Draining if event.readable => self.progress_drain(event.token),
             _ => {}
         }
@@ -625,18 +657,27 @@ impl Reactor {
         }
     }
 
-    /// Hands a complete request to the pool. The connection drops all
-    /// readiness interest until the worker's completion comes back.
-    fn dispatch(&mut self, token: u64, request: Request) {
+    /// Answers a complete request, then each request pipelined behind it
+    /// that the cache answers too, in a loop rather than by recursion, so
+    /// a peer pipelining hundreds of cached reads cannot deepen the stack.
+    fn dispatch(&mut self, token: u64, mut request: Request) {
+        while let Some(next) = self.dispatch_one(token, request) {
+            request = next;
+        }
+    }
+
+    /// A cache hit is written inline, and a pipelined request found
+    /// behind it once it is fully written is returned. Anything else goes
+    /// to the pool, and the connection drops all readiness interest until
+    /// the worker's completion comes back.
+    fn dispatch_one(&mut self, token: u64, request: Request) -> Option<Request> {
+        let handling = Instant::now();
         let (fd, keep_alive, was_parked) = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
+            let conn = self.conns.get_mut(&token)?;
             conn.served += 1;
             // honor the client's wish, but advertise close on the
             // connection's last allowed request
             let keep_alive = request.keep_alive && conn.served < MAX_REQUESTS_PER_CONNECTION;
-            conn.state = ConnState::Dispatched;
             let was_parked = std::mem::replace(&mut conn.parked, false);
             (conn.stream.as_raw_fd(), keep_alive, was_parked)
         };
@@ -644,6 +685,14 @@ impl Reactor {
             self.parked -= 1;
             self.instruments.parked.set(self.parked as i64);
         }
+        let miss = match router::lookup(&request, self.view.generation(), &self.cache) {
+            Ok(response) => {
+                let bytes = account(&self.obs, &request, &response, keep_alive, handling);
+                return self.start_write(token, bytes, keep_alive, false);
+            }
+            Err(miss) => miss,
+        };
+        self.conns.get_mut(&token)?.state = ConnState::Dispatched;
         self.arm(token, None);
         self.readiness.set(fd, token, 0);
         self.instruments.dispatches.inc();
@@ -653,21 +702,15 @@ impl Reactor {
         let shared = Arc::clone(&self.shared);
         self.pool.spawn(move || {
             let handling = Instant::now();
-            let response = route(&request, &view, &obs, &cache);
-            let bytes = response.to_bytes(keep_alive);
-            obs.record_request(
-                &request.path,
-                response.status,
-                handling.elapsed(),
-                request.body.len(),
-                bytes.len(),
-            );
+            let response = router::render(&request, miss, &view, &obs, &cache);
+            let bytes = account(&obs, &request, &response, keep_alive, handling);
             shared.complete(Completion {
                 token,
                 bytes,
                 keep_alive,
             });
         });
+        None
     }
 
     /// Queues a 4xx/408 for writing. Error responses always close, and
@@ -675,13 +718,21 @@ impl Reactor {
     /// closing with unread bytes would RST the response away.
     fn answer_error(&mut self, token: u64, bad: BadRequest) {
         let bytes = Response::error(bad.status, bad.message).to_bytes(false);
-        self.start_write(token, bytes, false, true);
+        // a draining write never continues into a pipelined request
+        let next = self.start_write(token, bytes, false, true);
+        debug_assert!(next.is_none());
     }
 
-    fn start_write(&mut self, token: u64, bytes: Vec<u8>, keep_alive: bool, drain: bool) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
+    /// Starts writing `bytes`; returns what [`Reactor::progress_write`]
+    /// returns.
+    fn start_write(
+        &mut self,
+        token: u64,
+        bytes: Vec<u8>,
+        keep_alive: bool,
+        drain: bool,
+    ) -> Option<Request> {
+        let conn = self.conns.get_mut(&token)?;
         conn.state = ConnState::Writing {
             bytes,
             written: 0,
@@ -689,14 +740,15 @@ impl Reactor {
             drain,
         };
         self.arm(token, Some(Instant::now() + self.config.read_timeout));
-        self.progress_write(token);
+        self.progress_write(token)
     }
 
-    fn progress_write(&mut self, token: u64) {
+    /// Writes as much of the response as the socket takes. Once it is all
+    /// written, returns the next request if one was pipelined behind it,
+    /// for the caller to [`Reactor::dispatch`].
+    fn progress_write(&mut self, token: u64) -> Option<Request> {
         let (fd, outcome) = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
+            let conn = self.conns.get_mut(&token)?;
             let fd = conn.stream.as_raw_fd();
             let ConnState::Writing {
                 bytes,
@@ -705,7 +757,7 @@ impl Reactor {
                 drain,
             } = &mut conn.state
             else {
-                return;
+                return None;
             };
             let outcome = loop {
                 if *written >= bytes.len() {
@@ -727,16 +779,21 @@ impl Reactor {
             (fd, outcome)
         };
         match outcome {
-            WriteOutcome::Done { keep_alive, drain } => self.finish_write(token, keep_alive, drain),
+            WriteOutcome::Done { keep_alive, drain } => {
+                return self.finish_write(token, keep_alive, drain)
+            }
             WriteOutcome::Blocked => {
                 self.instruments.partial_writes.inc();
                 self.readiness.set(fd, token, INTEREST_WRITE);
             }
             WriteOutcome::Gone => self.close(token),
         }
+        None
     }
 
-    fn finish_write(&mut self, token: u64, keep_alive: bool, drain: bool) {
+    /// Closes, drains or parks the connection after a complete write, or
+    /// returns the request a pipelining peer already sent.
+    fn finish_write(&mut self, token: u64, keep_alive: bool, drain: bool) -> Option<Request> {
         let deadline = Instant::now() + self.config.read_timeout;
         enum Next {
             Close,
@@ -746,9 +803,7 @@ impl Reactor {
             Malformed(BadRequest),
         }
         let next = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
+            let conn = self.conns.get_mut(&token)?;
             if drain {
                 if conn.read_closed {
                     Next::Close
@@ -787,13 +842,10 @@ impl Reactor {
                 self.arm(token, Some(deadline));
                 self.readiness.set(fd, token, INTEREST_READ);
             }
-            Next::Pipelined(request) => {
-                // restore interest bookkeeping before re-dispatching so
-                // the parked gauge stays balanced
-                self.dispatch(token, request);
-            }
+            Next::Pipelined(request) => return Some(request),
             Next::Malformed(bad) => self.answer_error(token, bad),
         }
+        None
     }
 
     /// Discards post-error upload bytes until EOF (or the deadline
@@ -902,12 +954,15 @@ impl Reactor {
             if !self.conns.contains_key(&completion.token) {
                 continue;
             }
-            self.start_write(
+            let next = self.start_write(
                 completion.token,
                 completion.bytes,
                 completion.keep_alive,
                 false,
             );
+            if let Some(request) = next {
+                self.dispatch(completion.token, request);
+            }
         }
     }
 

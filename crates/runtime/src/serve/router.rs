@@ -5,10 +5,12 @@
 //! as `fahana-query --json`, so the daemon's answers are byte-identical to
 //! the CLI's — pinned by `tests/serve_http.rs`.
 //!
-//! Read endpoints flow through the generation-keyed [`ResponseCache`]: the
-//! router takes one consistent [`Snapshot`] per request, serves cached
-//! bytes when the same question was already rendered this generation,
-//! and otherwise renders the answer and caches exactly that answer. The
+//! Read endpoints flow through the generation-keyed [`ResponseCache`].
+//! [`route`] is two halves that the server runs on different threads:
+//! `lookup` serves cached bytes when the same question was already
+//! rendered this generation, and runs on the reactor, so a hit never
+//! reaches the pool; `render` answers everything else on a pool worker,
+//! from one consistent [`Snapshot`], and caches exactly that answer. The
 //! catalog is not rendered here: the view renders it once per
 //! generation, and `/catalog` copies the snapshot's bytes. Each
 //! leaderboard ranks borrowed records through the store's ranking core
@@ -32,41 +34,69 @@ fn is_read_path(path: &str) -> bool {
         || path.starts_with("/leaderboard/")
 }
 
-/// Routes one request to its handler. `obs` answers the observability
-/// endpoints (`/metrics`, `/statusz`) and is otherwise untouched — request
-/// accounting happens in the connection loop, not here. `cache` holds
-/// rendered read responses for the current store generation.
+/// Routes one request to its handler: `lookup`, then `render` on a
+/// miss. `obs` answers the observability endpoints (`/metrics`,
+/// `/statusz`) and is otherwise untouched — request accounting happens in
+/// the connection loop, not here. `cache` holds rendered read responses
+/// for the current store generation.
 pub fn route(
     request: &Request,
     view: &StoreView,
     obs: &ServeTelemetry,
     cache: &ResponseCache,
 ) -> Response {
-    // volatile (/metrics, /statusz change with every scrape) and mutating
-    // endpoints never touch the cache
+    lookup(request, view.generation(), cache)
+        .unwrap_or_else(|miss| render(request, miss, view, obs, cache))
+}
+
+/// The lookup half of [`route`], cheap enough for the reactor thread:
+/// a `GET` on a read endpoint looks its key up in `cache` at
+/// `generation`, the view's current one. `Ok` holds the bytes rendered
+/// earlier this generation. `Err(Some(key))` is a cacheable read that
+/// missed, and `Err(None)` a request the cache never holds (volatile
+/// `/metrics` and `/statusz`, `POST /ingest`, any other method); either
+/// way [`render`] answers it. Counts exactly one hit or miss per
+/// cacheable read.
+pub(crate) fn lookup(
+    request: &Request,
+    generation: u64,
+    cache: &ResponseCache,
+) -> Result<Response, Option<String>> {
+    if request.method != "GET" || !is_read_path(&request.path) {
+        return Err(None);
+    }
+    let key = ResponseCache::key(request);
+    cache.lookup(&key, generation).ok_or(Some(key))
+}
+
+/// The render-and-insert half of [`route`], for whatever [`lookup`] did
+/// not answer. A read renders from one consistent snapshot, and a `200`
+/// is cached under `miss` tagged with exactly that snapshot's generation
+/// (an ingest that lands between the halves makes that insert a no-op:
+/// the cache drops inserts for a generation it does not hold).
+pub(crate) fn render(
+    request: &Request,
+    miss: Option<String>,
+    view: &StoreView,
+    obs: &ServeTelemetry,
+    cache: &ResponseCache,
+) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/metrics") => return Response::text(obs.render_metrics(view)),
         ("GET", "/statusz") => return Response::ok(obs.statusz_json(view).render()),
         ("POST", "/ingest") => return ingest(request, view),
         _ => {}
     }
-    // one consistent snapshot for the whole request: the bytes rendered
-    // below reflect exactly this generation, so they may be cached under
-    // it — and only under it
     let snapshot = view.snapshot();
+    let Some(key) = miss else {
+        return route_read(request, &snapshot);
+    };
     let generation = snapshot.generation;
-    if request.method == "GET" && is_read_path(&request.path) {
-        let key = ResponseCache::key(request);
-        if let Some(response) = cache.lookup(&key, generation) {
-            return response;
-        }
-        let response = route_read(request, &snapshot).with_generation(generation);
-        if response.status == 200 {
-            cache.insert(key, generation, response.clone());
-        }
-        return response;
+    let response = route_read(request, &snapshot).with_generation(generation);
+    if response.status == 200 {
+        cache.insert(key, generation, response.clone());
     }
-    route_read(request, &snapshot)
+    response
 }
 
 /// The pure read surface: every handler here is a function of the

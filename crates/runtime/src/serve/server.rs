@@ -4,8 +4,9 @@
 //! Connections honor HTTP/1.1 keep-alive, and connection count and
 //! pool-worker count are independent axes: each accepted socket is
 //! registered with the reactor's readiness loop, which parks it
-//! nonblocking until a complete request is buffered and only then
-//! dispatches one pool job for the routing work. Thousands of
+//! nonblocking until a complete request is buffered. The reactor answers
+//! a response-cache hit itself and dispatches one pool job only for a
+//! miss or an uncached endpoint. Thousands of
 //! mostly-idle keep-alive connections share a `--threads 2` pool. Reuse
 //! is bounded: an idle connection is dropped after the read timeout, and
 //! no connection serves more than `MAX_REQUESTS_PER_CONNECTION` (1000)

@@ -4,6 +4,9 @@
 //! byte at a time are assembled by the incremental parser, a pipelined
 //! flood through a deliberately tiny `SO_SNDBUF` exercises the
 //! partial-write/re-arm path without corrupting a single response.
+//! Cached reads are answered on the reactor thread without touching the
+//! pool, and a thousand of them pipelined on one connection are answered
+//! in a loop.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -12,7 +15,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use edgehw::DeviceKind;
-use fahana_runtime::serve::client_exchange;
+use fahana_runtime::serve::{client_exchange, route, Request, ResponseCache, ServeTelemetry};
 use fahana_runtime::{
     campaign_json, ArtifactStore, CampaignConfig, CampaignEngine, RewardSetting, ServeOptions,
     Server, ServerHandle, StoreView,
@@ -65,6 +68,29 @@ fn scrape_metric(addr: SocketAddr, name: &str) -> Option<f64> {
         let (metric, value) = line.split_once(' ')?;
         (metric == name).then(|| value.parse().unwrap())
     })
+}
+
+/// The sum over every series of the metric family `name` in a Prometheus
+/// text exposition (0 when the family is absent).
+fn family_sum(exposition: &str, name: &str) -> f64 {
+    exposition
+        .lines()
+        .filter_map(|line| {
+            let (series, value) = line.rsplit_once(' ')?;
+            let labels = series.strip_prefix(name)?;
+            (labels.is_empty() || labels.starts_with('{')).then(|| value.parse::<f64>().unwrap())
+        })
+        .sum()
+}
+
+fn get(path: &str, keep_alive: bool) -> Request {
+    Request {
+        method: "GET".into(),
+        path: path.into(),
+        query: Vec::new(),
+        body: Vec::new(),
+        keep_alive,
+    }
 }
 
 /// The tentpole claim, measured: 1024 keep-alive connections against a
@@ -165,10 +191,19 @@ fn thousand_parked_connections_on_a_two_thread_pool() {
     for client in clients {
         client.join().unwrap();
     }
-    let dispatched = scrape_metric(addr, "fahana_serve_reactor_dispatches_total").unwrap();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let metrics = client_exchange(&mut stream, "GET", "/metrics", &[]).unwrap();
+    let requests = family_sum(&metrics.body, "fahana_http_requests_total");
+    let dispatched = family_sum(&metrics.body, "fahana_serve_reactor_dispatches_total");
     assert!(
-        dispatched >= (CLIENT_THREADS * CONNS_PER_THREAD * ROUNDS) as f64,
-        "dispatch counter too low: {dispatched}"
+        requests >= (CLIENT_THREADS * CONNS_PER_THREAD * ROUNDS) as f64,
+        "not every request was accounted: {requests}"
+    );
+    // the store is static, so every soak read after the reference renders
+    // is a cache hit the reactor answers without the pool
+    assert!(
+        dispatched < requests,
+        "cached reads still went to the pool: {dispatched} dispatches for {requests} requests"
     );
     handle.shutdown();
     runner.join().unwrap();
@@ -293,6 +328,158 @@ fn pipelined_flood_through_tiny_sndbuf_stays_intact() {
         partials >= 1.0,
         "the flood never exercised the WOULDBLOCK re-arm path"
     );
+    handle.shutdown();
+    runner.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// After one warming miss, cached reads are answered on the reactor
+/// thread: N more `GET /catalog` are N cache hits that add nothing to the
+/// dispatch counter or the pool's executed jobs, and their bytes are
+/// exactly what `route` renders. A miss, `/metrics` and `POST /ingest`
+/// still go to the pool.
+#[test]
+fn cached_reads_skip_the_pool_and_everything_else_dispatches() {
+    const READS: usize = 50;
+
+    let dir = temp_dir("inline");
+    ArtifactStore::open(&dir)
+        .unwrap()
+        .ingest("base", &tiny_report(503))
+        .unwrap();
+    let view = StoreView::open(ArtifactStore::open(&dir).unwrap()).unwrap();
+    let server = Server::bind_with(
+        "127.0.0.1:0",
+        view,
+        ServeOptions {
+            threads: 2,
+            read_timeout: Duration::from_secs(10),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.handle().unwrap();
+    let (obs, cache, view) = (
+        Arc::clone(server.obs()),
+        Arc::clone(server.cache()),
+        Arc::clone(server.view()),
+    );
+    let runner = std::thread::spawn(move || server.run().unwrap());
+    // (dispatches, pool jobs executed), read without a request
+    let counts = || {
+        let exposition = obs.render_metrics(&view);
+        (
+            family_sum(&exposition, "fahana_serve_reactor_dispatches_total"),
+            family_sum(&exposition, "fahana_pool_jobs_total"),
+        )
+    };
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
+    let warm = client_exchange(&mut stream, "GET", "/catalog", &[]).unwrap();
+    assert_eq!(warm.status, 200);
+    assert_eq!((cache.stats().hits, cache.stats().misses), (0, 1));
+    // the warming job counts as executed just after its bytes are handed
+    // back, so wait for the pool to catch up with the dispatch counter
+    let mut before = counts();
+    for _ in 0..500 {
+        if before.1 >= before.0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        before = counts();
+    }
+    assert_eq!(before, (1.0, 1.0));
+
+    let expected = route(
+        &get("/catalog", true),
+        &view,
+        &ServeTelemetry::disabled(),
+        &ResponseCache::new(0),
+    )
+    .to_bytes(true);
+    for read in 0..READS {
+        stream
+            .write_all(b"GET /catalog HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut answer = vec![0; expected.len()];
+        stream.read_exact(&mut answer).unwrap();
+        assert!(answer == expected, "cached read {read} differs from route");
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses), (READS as u64, 1));
+    assert_eq!(counts(), before, "cached reads reached the pool");
+
+    // a miss, a scrape and an ingest each still take one pool job
+    let mut expected_dispatches = before.0;
+    for (method, target, body) in [
+        ("GET", "/query?device=raspberry_pi_4", String::new()),
+        ("GET", "/metrics", String::new()),
+        ("POST", "/ingest?id=fresh", tiny_report(504)),
+    ] {
+        let response = client_exchange(&mut stream, method, target, body.as_bytes()).unwrap();
+        assert!(response.status < 300, "{target}: {}", response.status);
+        expected_dispatches += 1.0;
+        assert_eq!(
+            counts().0,
+            expected_dispatches,
+            "{method} {target} did not dispatch"
+        );
+    }
+    assert_eq!(cache.stats().misses, 2);
+
+    handle.shutdown();
+    runner.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One write of a thousand pipelined cached reads on one connection:
+/// after the first response, the reactor answers the rest in a loop, each
+/// one intact, and the last one allowed on a connection says `close`.
+#[test]
+fn a_thousand_pipelined_cached_reads_come_back_intact() {
+    // the server's per-connection request cap
+    const PIPELINED: usize = 1000;
+
+    let dir = temp_dir("pipelined-hits");
+    ArtifactStore::open(&dir)
+        .unwrap()
+        .ingest("base", &tiny_report(505))
+        .unwrap();
+    let (addr, handle, runner) = start_server(
+        &dir,
+        ServeOptions {
+            threads: 2,
+            read_timeout: Duration::from_secs(20),
+            ..ServeOptions::default()
+        },
+    );
+    let reference = StoreView::open(ArtifactStore::open(&dir).unwrap()).unwrap();
+    let render = |keep_alive| {
+        route(
+            &get("/healthz", keep_alive),
+            &reference,
+            &ServeTelemetry::disabled(),
+            &ResponseCache::new(0),
+        )
+        .to_bytes(keep_alive)
+    };
+    let mut expected = render(true).repeat(PIPELINED - 1);
+    expected.extend(render(false));
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(20))).ok();
+    stream
+        .write_all(&b"GET /healthz HTTP/1.1\r\n\r\n".repeat(PIPELINED))
+        .unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    let text = String::from_utf8_lossy(&raw);
+    assert_eq!(text.matches("HTTP/1.1 200 OK\r\n").count(), PIPELINED);
+    assert_eq!(text.matches("Connection: close\r\n").count(), 1);
+    assert!(raw == expected, "pipelined responses differ from route");
+
     handle.shutdown();
     runner.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
