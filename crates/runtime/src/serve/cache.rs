@@ -13,19 +13,22 @@
 //! floor instead of poisoning the fresh map.
 //!
 //! Nothing is rendered ahead of demand: a miss renders its own answer and
-//! caches only that. The map is bounded: past `capacity` entries, the
-//! oldest inserted entry is evicted (FIFO). Hits, misses, evictions, and
-//! invalidation flushes are counted on the cache itself and mirrored into
-//! the [`MetricsRegistry`](crate::telemetry::MetricsRegistry) at scrape
-//! time, the same way pool statistics are.
+//! caches only that. An entry is that answer's keep-alive wire bytes,
+//! serialized once by the miss and shared (`Arc`) between the cache and
+//! every socket a hit writes them to, so a hit copies no body. The map is
+//! bounded: past `capacity` entries, the oldest inserted entry is evicted
+//! (FIFO). Hits, misses, evictions, and invalidation flushes are counted
+//! on the cache itself and mirrored into the
+//! [`MetricsRegistry`](crate::telemetry::MetricsRegistry) at scrape time,
+//! the same way pool statistics are.
 //!
 //! [`StoreView::generation`]: crate::serve::view::StoreView::generation
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use crate::serve::http::{Request, Response};
+use crate::serve::http::{Request, WireResponse};
 
 /// Point-in-time cache statistics (monotonic counters plus the live entry
 /// count), as mirrored into `/metrics` and `/statusz`.
@@ -50,13 +53,13 @@ struct CacheMap {
     /// The generation every held entry was rendered from.
     generation: u64,
     // fahana-lint: allow(hash-iter) never iterated for output: lookups are by exact key, eviction order comes from the FIFO deque
-    entries: HashMap<String, Response>,
+    entries: HashMap<String, Arc<WireResponse>>,
     /// Insertion order, oldest first, for FIFO eviction.
     order: VecDeque<String>,
 }
 
-/// A bounded map from `(method, path, query)` to rendered response bytes,
-/// valid for a single store-view generation.
+/// A bounded map from `(method, path, query)` to shared keep-alive
+/// response bytes, valid for a single store-view generation.
 #[derive(Debug)]
 pub struct ResponseCache {
     capacity: usize,
@@ -99,9 +102,9 @@ impl ResponseCache {
     /// invalidation); a lookup from an *older* generation (a request that
     /// raced a reload and lost) bypasses the cache entirely — stale bytes
     /// are never served, and a fresher map is never flushed backwards.
-    /// `Some` holds the exact response bytes rendered earlier this
-    /// generation.
-    pub fn lookup(&self, key: &str, generation: u64) -> Option<Response> {
+    /// `Some` shares the exact response bytes rendered earlier this
+    /// generation; no byte is copied.
+    pub fn lookup(&self, key: &str, generation: u64) -> Option<Arc<WireResponse>> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -124,7 +127,7 @@ impl ResponseCache {
         match map.entries.get(key) {
             Some(response) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(response.clone())
+                Some(Arc::clone(response))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -137,7 +140,7 @@ impl ResponseCache {
     /// silently when `generation` does not match the map's (the render
     /// raced a reload — caching it would serve stale bytes) or when the
     /// cache is disabled. Evicts the oldest entry at capacity.
-    pub fn insert(&self, key: String, generation: u64, response: Response) {
+    pub fn insert(&self, key: String, generation: u64, response: Arc<WireResponse>) {
         if self.capacity == 0 {
             return;
         }
@@ -179,9 +182,10 @@ impl ResponseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::http::Response;
 
-    fn response(body: &str) -> Response {
-        Response::ok(body.to_string())
+    fn response(body: &str) -> Arc<WireResponse> {
+        Arc::new(Response::ok(body.to_string()).into_wire())
     }
 
     fn request(path: &str, query: &[(&str, &str)]) -> Request {
@@ -204,9 +208,11 @@ mod tests {
         assert_eq!(cache.lookup(&key, 0), None);
         cache.insert(key.clone(), 0, response("catalog-bytes"));
         let cached = cache.lookup(&key, 0).expect("a hit after the insert");
-        assert_eq!(cached.body, "catalog-bytes");
+        assert_eq!(cached.to_response().body, "catalog-bytes");
+        let again = cache.lookup(&key, 0).expect("a second hit");
+        assert!(Arc::ptr_eq(&cached, &again), "hits share one rendering");
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
     }
 
     #[test]

@@ -481,12 +481,32 @@ impl Response {
     /// bytes [`Response::write_to`] puts on the wire — the reactor's write
     /// path buffers these and drains them as the socket accepts them.
     pub fn to_bytes(&self, keep_alive: bool) -> Vec<u8> {
+        self.wire(keep_alive, self.body.as_bytes())
+    }
+
+    /// The keep-alive wire bytes, rendered once and owned by the result;
+    /// the body moves into them.
+    pub fn into_wire(self) -> WireResponse {
+        let bytes = self.to_bytes(true);
+        let body_at = bytes.len() - self.body.len();
+        WireResponse {
+            head: Response {
+                body: String::new(),
+                ..self
+            },
+            bytes,
+            body_at,
+        }
+    }
+
+    /// This response's head followed by `body`.
+    fn wire(&self, keep_alive: bool, body: &[u8]) -> Vec<u8> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             status_text(self.status),
             self.content_type,
-            self.body.len(),
+            body.len(),
             if keep_alive { "keep-alive" } else { "close" },
         );
         if let Some(generation) = self.generation {
@@ -496,8 +516,9 @@ impl Response {
             head.push_str(&format!("Retry-After: {seconds}\r\n"));
         }
         head.push_str("\r\n");
-        let mut bytes = head.into_bytes();
-        bytes.extend_from_slice(self.body.as_bytes());
+        let mut bytes = Vec::with_capacity(head.len() + body.len());
+        bytes.extend_from_slice(head.as_bytes());
+        bytes.extend_from_slice(body);
         bytes
     }
 
@@ -513,6 +534,48 @@ impl Response {
         stream.write_all(&bytes)?;
         stream.flush()?;
         Ok(bytes.len())
+    }
+}
+
+/// A response serialized once, as its keep-alive wire bytes: the form the
+/// response cache holds, so every hit writes the same bytes without
+/// copying the body. The `Connection: close` rendering, rarely needed, is
+/// made on demand from the same body.
+#[derive(Debug, PartialEq, Eq)]
+pub struct WireResponse {
+    /// Status, content type and headers; the body lives in `bytes`.
+    head: Response,
+    /// Exactly what `Response::to_bytes(true)` renders.
+    bytes: Vec<u8>,
+    /// Where the body starts in `bytes`.
+    body_at: usize,
+}
+
+impl WireResponse {
+    /// HTTP status code.
+    pub fn status(&self) -> u16 {
+        self.head.status
+    }
+
+    /// The keep-alive rendering: status line, headers and body.
+    pub fn keep_alive_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The `Connection: close` rendering, made now: what
+    /// `Response::to_bytes(false)` renders.
+    pub fn close_bytes(&self) -> Vec<u8> {
+        self.head.wire(false, &self.bytes[self.body_at..])
+    }
+
+    /// The response these bytes render, body copied back out.
+    pub fn to_response(&self) -> Response {
+        Response {
+            // the body came from a `String`, so this never substitutes
+            // (and, on the request path, a lossy copy beats a panic)
+            body: String::from_utf8_lossy(&self.bytes[self.body_at..]).into_owned(),
+            ..self.head.clone()
+        }
     }
 }
 
@@ -684,6 +747,22 @@ mod tests {
         assert_eq!(response.status, 404);
         assert_eq!(response.body, r#"{"error":"no such route"}"#);
         assert_eq!(status_text(409), "Conflict");
+    }
+
+    #[test]
+    fn wire_response_renders_what_to_bytes_renders() {
+        for response in [
+            Response::ok(r#"{"n":"é"}"#).with_generation(7),
+            Response::text("fahana_up 1\n"),
+            Response::error(503, "busy").with_retry_after(1),
+            Response::ok(""),
+        ] {
+            let wire = response.clone().into_wire();
+            assert_eq!(wire.status(), response.status);
+            assert_eq!(wire.keep_alive_bytes(), response.to_bytes(true));
+            assert_eq!(wire.close_bytes(), response.to_bytes(false));
+            assert_eq!(wire.to_response(), response);
+        }
     }
 
     /// Serves one connection: answers each request it parses with the

@@ -16,9 +16,10 @@
 //!   head and body caps, and a minimal framed client
 //!   ([`client_exchange`]) used by the `fahana-shard` coordinator and
 //!   the `fahana-loadgen` bench;
-//! * [`cache`] — a generation-keyed [`ResponseCache`]: rendered read
-//!   responses valid for exactly one store generation, flushed wholesale
-//!   when `POST /ingest` bumps it, filled only by the reads clients send;
+//! * [`cache`] — a generation-keyed [`ResponseCache`]: read responses,
+//!   each held as one shared keep-alive wire rendering, valid for exactly
+//!   one store generation, flushed wholesale when `POST /ingest` bumps it,
+//!   filled only by the reads clients send;
 //! * [`router`] — the endpoint table (see below);
 //! * `reactor` — the nonblocking readiness loop (one level-triggered
 //!   `poll(2)` interest set, hand-declared FFI): every accepted socket
@@ -33,7 +34,8 @@
 //!   the same [`ThreadPool`](crate::pool::ThreadPool) campaigns use;
 //! * [`obs`] — the serve-side observability context: per-endpoint request
 //!   counters and latency histograms (bounded label vocabulary), body
-//!   byte totals and keep-alive reuse, rendered as Prometheus text
+//!   byte totals and keep-alive reuse, each resolved from the registry
+//!   once and updated through its handle after, rendered as Prometheus text
 //!   (`GET /metrics`) and a JSON status document (`GET /statusz`).
 //!
 //! ## Endpoints
@@ -78,7 +80,7 @@ pub mod server;
 pub mod view;
 
 pub use cache::{CacheStatsSnapshot, ResponseCache};
-pub use http::{client_exchange, ClientResponse, Request, Response};
+pub use http::{client_exchange, ClientResponse, Request, Response, WireResponse};
 pub use obs::ServeTelemetry;
 pub use router::route;
 pub use server::{ServeOptions, Server, ServerHandle};

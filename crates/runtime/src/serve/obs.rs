@@ -5,16 +5,66 @@
 //! `/leaderboard/<device>` collapses to one label, unknown paths to
 //! `other`), so a hostile client scanning random paths cannot balloon the
 //! registry's cardinality.
+//!
+//! The recorders never look a series up per event. Each instrument is
+//! resolved from the registry once, when it records its first event, and
+//! kept in a fixed slot (by endpoint and status for request counters), so
+//! a series appears in `/metrics` exactly when it did with a lookup per
+//! request, and recording a request takes no lock and allocates nothing.
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::pool::PoolMonitor;
 use crate::report::Json;
 use crate::serve::cache::ResponseCache;
 use crate::serve::view::StoreView;
-use crate::telemetry::{Counter, Gauge, Histogram, Telemetry};
+use crate::telemetry::{Counter, Gauge, Histogram, MetricsRegistry, Telemetry};
+
+/// The `endpoint` label vocabulary, sorted (`/statusz` lists endpoints in
+/// this order, and `endpoint_slot` binary-searches it), `other` last.
+const ENDPOINTS: [&str; 9] = [
+    "/campaigns",
+    "/catalog",
+    "/healthz",
+    "/ingest",
+    "/leaderboard/{device}",
+    "/metrics",
+    "/query",
+    "/statusz",
+    "other",
+];
+
+/// The statuses `router` answers with: each endpoint's request counters
+/// for these are resolved once. Any other status is looked up on each
+/// request.
+const STATUSES: [u16; 7] = [200, 201, 400, 404, 405, 409, 500];
+
+/// Why the reactor cut a connection at its deadline: the `kind` label of
+/// `fahana_serve_deadline_expirations_total`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum DeadlineKind {
+    /// No request started before the idle deadline.
+    Idle,
+    /// A request was still incomplete at its read deadline.
+    Slowloris,
+    /// The peer stopped reading a response.
+    WriteStall,
+    /// The peer did not close within an error response's drain window.
+    /// Last, so it sizes the slot table.
+    Drain,
+}
+
+impl DeadlineKind {
+    fn label(self) -> &'static str {
+        match self {
+            DeadlineKind::Idle => "idle",
+            DeadlineKind::Slowloris => "slowloris",
+            DeadlineKind::WriteStall => "write_stall",
+            DeadlineKind::Drain => "drain",
+        }
+    }
+}
 
 /// The reactor's hot-path instruments, resolved once at spawn so the
 /// event loop never touches the registry lock per event.
@@ -32,9 +82,24 @@ pub struct ReactorInstruments {
     pub partial_writes: Counter,
 }
 
+/// One endpoint's request instruments.
+#[derive(Debug, Default)]
+struct EndpointInstruments {
+    /// `fahana_http_request_ms{endpoint}`, also read by `/statusz`.
+    latency: OnceLock<Histogram>,
+    /// `fahana_http_requests_total{endpoint,status}`, one per `STATUSES`.
+    requests: [OnceLock<Counter>; STATUSES.len()],
+}
+
 /// The server's telemetry context: the shared bundle plus serve-specific
-/// bookkeeping (uptime epoch, per-endpoint histograms, the pool monitor
-/// and response cache polled at scrape time).
+/// bookkeeping (uptime epoch, the pool monitor and response cache polled
+/// at scrape time).
+///
+/// Every instrument the recorders update is resolved from the registry
+/// once, on the first event it records, and kept: a series still appears
+/// in `/metrics` only once something is recorded to it (the first
+/// registration names it), and every later event is an atomic update
+/// with no registry lock and no allocation.
 #[derive(Debug)]
 pub struct ServeTelemetry {
     telemetry: Telemetry,
@@ -43,26 +108,35 @@ pub struct ServeTelemetry {
     /// The response cache whose hit/miss/eviction counters are mirrored
     /// into the registry at scrape time (same pattern as the pool).
     cache: Option<Arc<ResponseCache>>,
-    /// Endpoint → its latency histogram, kept here (as well as in the
-    /// registry) so `/statusz` can answer percentiles without re-parsing
-    /// the Prometheus rendering.
-    latencies: Mutex<BTreeMap<&'static str, Histogram>>,
+    /// Indexed like `ENDPOINTS`.
+    endpoints: [EndpointInstruments; ENDPOINTS.len()],
+    request_body_bytes: OnceLock<Counter>,
+    response_bytes: OnceLock<Counter>,
+    connections: OnceLock<Counter>,
+    keepalive_reuse: OnceLock<Counter>,
+    accept_errors: OnceLock<Counter>,
+    rejected: OnceLock<Counter>,
+    /// Indexed by `DeadlineKind`.
+    deadline_expirations: [OnceLock<Counter>; DeadlineKind::Drain as usize + 1],
 }
 
 /// Collapses a request path onto the bounded endpoint vocabulary used as
 /// the `endpoint` label.
 pub fn normalize_endpoint(path: &str) -> &'static str {
-    match path {
-        "/healthz" => "/healthz",
-        "/query" => "/query",
-        "/campaigns" => "/campaigns",
-        "/catalog" => "/catalog",
-        "/ingest" => "/ingest",
-        "/metrics" => "/metrics",
-        "/statusz" => "/statusz",
-        path if path.starts_with("/leaderboard/") => "/leaderboard/{device}",
-        _ => "other",
-    }
+    ENDPOINTS[endpoint_slot(path)]
+}
+
+/// `path`'s slot in `ENDPOINTS`: its own label, the one every
+/// `/leaderboard/<device>` shares, or `other`.
+fn endpoint_slot(path: &str) -> usize {
+    let label = if path.starts_with("/leaderboard/") {
+        "/leaderboard/{device}"
+    } else {
+        path
+    };
+    ENDPOINTS
+        .binary_search(&label)
+        .unwrap_or(ENDPOINTS.len() - 1)
 }
 
 impl ServeTelemetry {
@@ -79,7 +153,14 @@ impl ServeTelemetry {
             started: Instant::now(),
             pool,
             cache,
-            latencies: Mutex::new(BTreeMap::new()),
+            endpoints: Default::default(),
+            request_body_bytes: OnceLock::new(),
+            response_bytes: OnceLock::new(),
+            connections: OnceLock::new(),
+            keepalive_reuse: OnceLock::new(),
+            accept_errors: OnceLock::new(),
+            rejected: OnceLock::new(),
+            deadline_expirations: Default::default(),
         }
     }
 
@@ -93,6 +174,15 @@ impl ServeTelemetry {
         &self.telemetry
     }
 
+    fn metrics(&self) -> &MetricsRegistry {
+        self.telemetry.metrics()
+    }
+
+    /// The unlabelled counter kept in `cell`, registered on first use.
+    fn counter<'a>(&self, cell: &'a OnceLock<Counter>, name: &str, help: &str) -> &'a Counter {
+        cell.get_or_init(|| self.metrics().counter(name, help))
+    }
+
     /// Records one served request: the per-endpoint counter and latency
     /// histogram, plus body byte totals.
     pub fn record_request(
@@ -103,52 +193,60 @@ impl ServeTelemetry {
         bytes_in: usize,
         bytes_out: usize,
     ) {
-        let endpoint = normalize_endpoint(path);
-        let metrics = self.telemetry.metrics();
-        metrics
-            .counter_with(
+        let slot = endpoint_slot(path);
+        let endpoint = ENDPOINTS[slot];
+        let instruments = &self.endpoints[slot];
+        let resolve = || {
+            self.metrics().counter_with(
                 "fahana_http_requests_total",
                 "requests served, by endpoint and status",
                 &[("endpoint", endpoint), ("status", &status.to_string())],
             )
-            .inc();
-        let latency = metrics.histogram_with(
-            "fahana_http_request_ms",
-            "request handling latency, by endpoint",
-            &[("endpoint", endpoint)],
-        );
-        latency.observe(duration);
-        super::unpoison(self.latencies.lock())
-            .entry(endpoint)
-            .or_insert(latency);
-        metrics
-            .counter(
-                "fahana_http_request_body_bytes_total",
-                "request body bytes received",
-            )
-            .add(bytes_in as u64);
-        metrics
-            .counter(
-                "fahana_http_response_bytes_total",
-                "response bytes written (head and body)",
-            )
-            .add(bytes_out as u64);
+        };
+        match STATUSES.iter().position(|known| *known == status) {
+            Some(at) => instruments.requests[at].get_or_init(resolve).inc(),
+            None => resolve().inc(),
+        }
+        instruments
+            .latency
+            .get_or_init(|| {
+                self.metrics().histogram_with(
+                    "fahana_http_request_ms",
+                    "request handling latency, by endpoint",
+                    &[("endpoint", endpoint)],
+                )
+            })
+            .observe(duration);
+        self.counter(
+            &self.request_body_bytes,
+            "fahana_http_request_body_bytes_total",
+            "request body bytes received",
+        )
+        .add(bytes_in as u64);
+        self.counter(
+            &self.response_bytes,
+            "fahana_http_response_bytes_total",
+            "response bytes written (head and body)",
+        )
+        .add(bytes_out as u64);
     }
 
     /// Records a finished connection: how many requests it carried and how
     /// many of those reused the connection (keep-alive).
     pub fn record_connection(&self, requests_served: usize) {
-        let metrics = self.telemetry.metrics();
-        metrics
-            .counter("fahana_http_connections_total", "connections accepted")
-            .inc();
+        self.counter(
+            &self.connections,
+            "fahana_http_connections_total",
+            "connections accepted",
+        )
+        .inc();
         if requests_served > 1 {
-            metrics
-                .counter(
-                    "fahana_http_keepalive_reuse_total",
-                    "requests served over an already-used (kept-alive) connection",
-                )
-                .add(requests_served as u64 - 1);
+            self.counter(
+                &self.keepalive_reuse,
+                "fahana_http_keepalive_reuse_total",
+                "requests served over an already-used (kept-alive) connection",
+            )
+            .add(requests_served as u64 - 1);
         }
     }
 
@@ -156,30 +254,28 @@ impl ServeTelemetry {
     /// to serve). The accept loop backs off briefly after counting one so
     /// a persistent local error cannot spin the loop hot.
     pub fn record_accept_error(&self) {
-        self.telemetry
-            .metrics()
-            .counter(
-                "fahana_serve_accept_errors_total",
-                "accept() failures (connection never served)",
-            )
-            .inc();
+        self.counter(
+            &self.accept_errors,
+            "fahana_serve_accept_errors_total",
+            "accept() failures (connection never served)",
+        )
+        .inc();
     }
 
     /// Records a connection rejected at the door because the server was at
     /// its in-flight connection limit (answered 503 + Retry-After).
     pub fn record_rejected(&self) {
-        self.telemetry
-            .metrics()
-            .counter(
-                "fahana_serve_rejected_total",
-                "connections rejected with 503 at the in-flight limit",
-            )
-            .inc();
+        self.counter(
+            &self.rejected,
+            "fahana_serve_rejected_total",
+            "connections rejected with 503 at the in-flight limit",
+        )
+        .inc();
     }
 
     /// Creates the reactor's instrument bundle.
     pub fn reactor_instruments(&self) -> ReactorInstruments {
-        let metrics = self.telemetry.metrics();
+        let metrics = self.metrics();
         ReactorInstruments {
             parked: metrics.gauge(
                 "fahana_serve_parked_connections",
@@ -200,16 +296,16 @@ impl ServeTelemetry {
         }
     }
 
-    /// Records a connection cut at its reactor read deadline, by kind
-    /// (`idle`, `slowloris`, `write_stall`, `drain`).
-    pub fn record_deadline_expiry(&self, kind: &'static str) {
-        self.telemetry
-            .metrics()
-            .counter_with(
-                "fahana_serve_deadline_expirations_total",
-                "connections cut at their reactor read deadline, by kind",
-                &[("kind", kind)],
-            )
+    /// Records a connection cut at its reactor read deadline, by kind.
+    pub(crate) fn record_deadline_expiry(&self, kind: DeadlineKind) {
+        self.deadline_expirations[kind as usize]
+            .get_or_init(|| {
+                self.metrics().counter_with(
+                    "fahana_serve_deadline_expirations_total",
+                    "connections cut at their reactor read deadline, by kind",
+                    &[("kind", kind.label())],
+                )
+            })
             .inc();
     }
 
@@ -277,8 +373,10 @@ impl ServeTelemetry {
     /// request counts with latency percentiles.
     pub fn statusz_json(&self, view: &StoreView) -> Json {
         self.refresh_gauges(view);
-        let endpoints = super::unpoison(self.latencies.lock())
+        let endpoints = ENDPOINTS
             .iter()
+            .zip(&self.endpoints)
+            .filter_map(|(endpoint, instruments)| Some((endpoint, instruments.latency.get()?)))
             .map(|(endpoint, latency)| {
                 Json::Obj(vec![
                     ("endpoint".into(), Json::str(*endpoint)),
@@ -344,6 +442,15 @@ mod tests {
             "/leaderboard/{device}"
         );
         assert_eq!(normalize_endpoint("/favicon.ico"), "other");
+        assert_eq!(normalize_endpoint("/leaderboard"), "other");
+        assert_eq!(normalize_endpoint("/"), "other");
         assert_eq!(normalize_endpoint("/metrics"), "/metrics");
+        // every label normalizes to itself, and the table is sorted: the
+        // slot search and `/statusz`'s order rely on it
+        for label in ENDPOINTS {
+            let path = label.replace("{device}", "jetson_nano");
+            assert_eq!(normalize_endpoint(&path), label);
+        }
+        assert!(ENDPOINTS.windows(2).all(|pair| pair[0] < pair[1]));
     }
 }

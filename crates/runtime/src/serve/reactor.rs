@@ -6,15 +6,17 @@
 //! live here in nonblocking mode, and idle keep-alive connections are
 //! *parked* (watched for readability, costing no worker). Once a request
 //! is complete, the reactor looks it up in the response cache itself: a
-//! hit already holds the rendered bytes, so the reactor writes them
-//! straight to the socket, and the pool, the completion queue and the
-//! wake pipe are never involved. Only a miss or an uncached request
-//! (`/metrics`, `/statusz`, `POST /ingest`, any non-`GET`) goes to a pool
-//! worker, which renders the response bytes and hands them back to the
-//! reactor. Either way the reactor writes them out with per-connection
-//! write buffers and `WOULDBLOCK` re-arming, and answers any requests a
-//! peer pipelined behind them in a loop. Thousands of mostly-idle
-//! connections share a two-thread pool.
+//! hit shares the keep-alive bytes the cache holds, so the reactor writes
+//! them straight to the socket without copying them, and the pool, the
+//! completion queue and the wake pipe are never involved. Only a miss or
+//! an uncached request (`/metrics`, `/statusz`, `POST /ingest`, any
+//! non-`GET`) goes to a pool worker, which renders the response bytes (a
+//! cacheable read once, into the bytes the cache keeps) and hands them
+//! back to the reactor. Either way the reactor writes them out, owned or
+//! shared, with `WOULDBLOCK` re-arming, and answers any requests a peer
+//! pipelined behind them in a loop. Every socket read goes through one
+//! buffer the reactor owns. Thousands of mostly-idle connections share a
+//! two-thread pool.
 //!
 //! Readiness comes from one level-triggered `poll(2)` interest set (the
 //! [`PollSet`], over the hand-declared FFI shim in [`sys`] — the
@@ -28,9 +30,10 @@
 //! The user-visible contract: 503-at-the-door backpressure (inline on
 //! the accept thread), slowloris 408s, 413/400 rejections from the
 //! incremental [`RequestParser`], the generation-keyed response cache,
-//! and response bytes identical to `Response::write_to` (both render
-//! through `Response::to_bytes`). Pinned by `tests/serve_load.rs` and
-//! `tests/serve_many_conns.rs`.
+//! and response bytes identical to `Response::write_to` (a cached entry
+//! holds exactly `Response::to_bytes(true)`, and its `Connection: close`
+//! variant is rendered from the same head and body on demand). Pinned by
+//! `tests/serve_load.rs` and `tests/serve_many_conns.rs`.
 
 use std::collections::{BTreeSet, HashMap};
 use std::io::{self, Read, Write};
@@ -42,9 +45,9 @@ use std::time::{Duration, Instant};
 
 use crate::pool::ThreadPool;
 use crate::serve::cache::ResponseCache;
-use crate::serve::http::{BadRequest, Request, RequestParser, Response};
-use crate::serve::obs::{ReactorInstruments, ServeTelemetry};
-use crate::serve::router;
+use crate::serve::http::{BadRequest, Request, RequestParser, Response, WireResponse};
+use crate::serve::obs::{DeadlineKind, ReactorInstruments, ServeTelemetry};
+use crate::serve::router::{self, Reply};
 use crate::serve::server::MAX_REQUESTS_PER_CONNECTION;
 use crate::serve::view::StoreView;
 
@@ -259,30 +262,53 @@ pub(crate) fn set_sndbuf(stream: &TcpStream, bytes: usize) -> io::Result<()> {
     Ok(())
 }
 
+/// Response bytes on their way to a socket: rendered for this one
+/// connection, or a cached keep-alive rendering shared with the cache.
+enum Outgoing {
+    Owned(Vec<u8>),
+    Shared(Arc<WireResponse>),
+}
+
+impl Outgoing {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Outgoing::Owned(bytes) => bytes,
+            Outgoing::Shared(wire) => wire.keep_alive_bytes(),
+        }
+    }
+}
+
 /// A response rendered by a pool worker, waiting for the reactor to
 /// write it to the connection identified by `token`.
 struct Completion {
     token: u64,
-    bytes: Vec<u8>,
+    bytes: Outgoing,
     keep_alive: bool,
 }
 
-/// Serializes `response` for the wire and records it as one handled
-/// request, timed from `handling`.
+/// Puts `reply` in its wire form and records it as one handled request,
+/// timed from `handling`. A cached reply is written from the cache's own
+/// keep-alive bytes; only a `Connection: close` answer renders its bytes
+/// anew.
 fn account(
     obs: &ServeTelemetry,
     request: &Request,
-    response: &Response,
+    reply: Reply,
     keep_alive: bool,
     handling: Instant,
-) -> Vec<u8> {
-    let bytes = response.to_bytes(keep_alive);
+) -> Outgoing {
+    let status = reply.status();
+    let bytes = match reply {
+        Reply::Cached(wire) if keep_alive => Outgoing::Shared(wire),
+        Reply::Cached(wire) => Outgoing::Owned(wire.close_bytes()),
+        Reply::Fresh(response) => Outgoing::Owned(response.to_bytes(keep_alive)),
+    };
     obs.record_request(
         &request.path,
-        response.status,
+        status,
         handling.elapsed(),
         request.body.len(),
-        bytes.len(),
+        bytes.as_slice().len(),
     );
     bytes
 }
@@ -431,6 +457,7 @@ pub(crate) fn spawn_reactor(
         inflight,
         instruments,
         config,
+        read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
     };
     let thread = std::thread::Builder::new()
         .name("fahana-reactor".into())
@@ -452,7 +479,7 @@ enum ConnState {
     /// Response bytes are being written; `WOULDBLOCK` re-arms for
     /// write readiness.
     Writing {
-        bytes: Vec<u8>,
+        bytes: Outgoing,
         written: usize,
         keep_alive: bool,
         /// True for error responses: after the write, half-close and
@@ -514,6 +541,9 @@ struct Reactor {
     inflight: Arc<AtomicUsize>,
     instruments: ReactorInstruments,
     config: ReactorConfig,
+    /// Every socket read lands here first: one buffer for the loop, not a
+    /// zeroed array per readable event.
+    read_buf: Box<[u8]>,
 }
 
 impl Reactor {
@@ -616,10 +646,10 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            let mut chunk = [0u8; READ_CHUNK];
+            let chunk = &mut self.read_buf;
             let mut outcome = ReadOutcome::NeedMore;
             for _ in 0..READS_PER_EVENT {
-                match conn.stream.read(&mut chunk) {
+                match conn.stream.read(chunk) {
                     Ok(0) => {
                         conn.read_closed = true;
                         outcome = match conn.parser.on_eof() {
@@ -686,8 +716,14 @@ impl Reactor {
             self.instruments.parked.set(self.parked as i64);
         }
         let miss = match router::lookup(&request, self.view.generation(), &self.cache) {
-            Ok(response) => {
-                let bytes = account(&self.obs, &request, &response, keep_alive, handling);
+            Ok(hit) => {
+                let bytes = account(
+                    &self.obs,
+                    &request,
+                    Reply::Cached(hit),
+                    keep_alive,
+                    handling,
+                );
                 return self.start_write(token, bytes, keep_alive, false);
             }
             Err(miss) => miss,
@@ -702,8 +738,8 @@ impl Reactor {
         let shared = Arc::clone(&self.shared);
         self.pool.spawn(move || {
             let handling = Instant::now();
-            let response = router::render(&request, miss, &view, &obs, &cache);
-            let bytes = account(&obs, &request, &response, keep_alive, handling);
+            let reply = router::render(&request, miss, &view, &obs, &cache);
+            let bytes = account(&obs, &request, reply, keep_alive, handling);
             shared.complete(Completion {
                 token,
                 bytes,
@@ -717,7 +753,7 @@ impl Reactor {
     /// always drain afterwards: the peer may still be mid-upload, and
     /// closing with unread bytes would RST the response away.
     fn answer_error(&mut self, token: u64, bad: BadRequest) {
-        let bytes = Response::error(bad.status, bad.message).to_bytes(false);
+        let bytes = Outgoing::Owned(Response::error(bad.status, bad.message).to_bytes(false));
         // a draining write never continues into a pipelined request
         let next = self.start_write(token, bytes, false, true);
         debug_assert!(next.is_none());
@@ -728,7 +764,7 @@ impl Reactor {
     fn start_write(
         &mut self,
         token: u64,
-        bytes: Vec<u8>,
+        bytes: Outgoing,
         keep_alive: bool,
         drain: bool,
     ) -> Option<Request> {
@@ -759,6 +795,7 @@ impl Reactor {
             else {
                 return None;
             };
+            let bytes = bytes.as_slice();
             let outcome = loop {
                 if *written >= bytes.len() {
                     break WriteOutcome::Done {
@@ -855,10 +892,9 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            let mut chunk = [0u8; READ_CHUNK];
             let mut done = false;
             for _ in 0..READS_PER_EVENT {
-                match conn.stream.read(&mut chunk) {
+                match conn.stream.read(&mut self.read_buf) {
                     Ok(0) => {
                         done = true;
                         break;
@@ -883,7 +919,7 @@ impl Reactor {
     /// already cleared that deadline.
     fn handle_deadline(&mut self, token: u64) {
         enum Expiry {
-            CloseQuiet(&'static str),
+            CloseQuiet(DeadlineKind),
             Slowloris(BadRequest),
         }
         let expiry = {
@@ -891,13 +927,15 @@ impl Reactor {
                 return;
             };
             match &conn.state {
-                ConnState::Reading if conn.parser.is_empty() => Expiry::CloseQuiet("idle"),
+                ConnState::Reading if conn.parser.is_empty() => {
+                    Expiry::CloseQuiet(DeadlineKind::Idle)
+                }
                 ConnState::Reading => Expiry::Slowloris(BadRequest::timeout(format!(
                     "{} still incomplete at the read deadline",
                     conn.parser.phase()
                 ))),
-                ConnState::Writing { .. } => Expiry::CloseQuiet("write_stall"),
-                ConnState::Draining => Expiry::CloseQuiet("drain"),
+                ConnState::Writing { .. } => Expiry::CloseQuiet(DeadlineKind::WriteStall),
+                ConnState::Draining => Expiry::CloseQuiet(DeadlineKind::Drain),
                 // dispatched connections carry no deadline
                 ConnState::Dispatched => return,
             }
@@ -908,7 +946,7 @@ impl Reactor {
                 self.close(token);
             }
             Expiry::Slowloris(bad) => {
-                self.obs.record_deadline_expiry("slowloris");
+                self.obs.record_deadline_expiry(DeadlineKind::Slowloris);
                 self.answer_error(token, bad);
             }
         }

@@ -10,7 +10,8 @@
 //! `lookup` serves cached bytes when the same question was already
 //! rendered this generation, and runs on the reactor, so a hit never
 //! reaches the pool; `render` answers everything else on a pool worker,
-//! from one consistent [`Snapshot`], and caches exactly that answer. The
+//! from one consistent [`Snapshot`], and caches exactly that answer,
+//! serialized once into the keep-alive bytes it also hands back. The
 //! catalog is not rendered here: the view renders it once per
 //! generation, and `/catalog` copies the snapshot's bytes. Each
 //! leaderboard ranks borrowed records through the store's ranking core
@@ -18,11 +19,13 @@
 //! Pareto frontier. Cached or not, read responses carry an
 //! `X-Fahana-Generation` header naming the store state they reflect.
 
+use std::sync::Arc;
+
 use edgehw::DeviceKind;
 
 use crate::report::Json;
 use crate::serve::cache::ResponseCache;
-use crate::serve::http::{Request, Response};
+use crate::serve::http::{Request, Response, WireResponse};
 use crate::serve::obs::ServeTelemetry;
 use crate::serve::view::{Snapshot, StoreView};
 use crate::store::{answer_query, leaderboard, StoreError, StoreQuery, StoredCampaign};
@@ -45,23 +48,48 @@ pub fn route(
     obs: &ServeTelemetry,
     cache: &ResponseCache,
 ) -> Response {
-    lookup(request, view.generation(), cache)
-        .unwrap_or_else(|miss| render(request, miss, view, obs, cache))
+    match lookup(request, view.generation(), cache) {
+        Ok(hit) => hit.to_response(),
+        Err(miss) => render(request, miss, view, obs, cache).into_response(),
+    }
+}
+
+/// What [`render`] answered: a response made for this request alone, or
+/// a read it cached, whose keep-alive bytes it shares with the cache.
+pub(crate) enum Reply {
+    Fresh(Response),
+    Cached(Arc<WireResponse>),
+}
+
+impl Reply {
+    pub(crate) fn status(&self) -> u16 {
+        match self {
+            Reply::Fresh(response) => response.status,
+            Reply::Cached(wire) => wire.status(),
+        }
+    }
+
+    fn into_response(self) -> Response {
+        match self {
+            Reply::Fresh(response) => response,
+            Reply::Cached(wire) => wire.to_response(),
+        }
+    }
 }
 
 /// The lookup half of [`route`], cheap enough for the reactor thread:
 /// a `GET` on a read endpoint looks its key up in `cache` at
-/// `generation`, the view's current one. `Ok` holds the bytes rendered
-/// earlier this generation. `Err(Some(key))` is a cacheable read that
-/// missed, and `Err(None)` a request the cache never holds (volatile
-/// `/metrics` and `/statusz`, `POST /ingest`, any other method); either
-/// way [`render`] answers it. Counts exactly one hit or miss per
-/// cacheable read.
+/// `generation`, the view's current one. `Ok` shares the keep-alive
+/// bytes rendered earlier this generation. `Err(Some(key))` is a
+/// cacheable read that missed, and `Err(None)` a request the cache never
+/// holds (volatile `/metrics` and `/statusz`, `POST /ingest`, any other
+/// method); either way [`render`] answers it. Counts exactly one hit or
+/// miss per cacheable read.
 pub(crate) fn lookup(
     request: &Request,
     generation: u64,
     cache: &ResponseCache,
-) -> Result<Response, Option<String>> {
+) -> Result<Arc<WireResponse>, Option<String>> {
     if request.method != "GET" || !is_read_path(&request.path) {
         return Err(None);
     }
@@ -71,32 +99,35 @@ pub(crate) fn lookup(
 
 /// The render-and-insert half of [`route`], for whatever [`lookup`] did
 /// not answer. A read renders from one consistent snapshot, and a `200`
-/// is cached under `miss` tagged with exactly that snapshot's generation
-/// (an ingest that lands between the halves makes that insert a no-op:
-/// the cache drops inserts for a generation it does not hold).
+/// is serialized once and cached under `miss` tagged with exactly that
+/// snapshot's generation (an ingest that lands between the halves makes
+/// that insert a no-op: the cache drops inserts for a generation it does
+/// not hold); the same bytes are returned for the socket.
 pub(crate) fn render(
     request: &Request,
     miss: Option<String>,
     view: &StoreView,
     obs: &ServeTelemetry,
     cache: &ResponseCache,
-) -> Response {
+) -> Reply {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/metrics") => return Response::text(obs.render_metrics(view)),
-        ("GET", "/statusz") => return Response::ok(obs.statusz_json(view).render()),
-        ("POST", "/ingest") => return ingest(request, view),
+        ("GET", "/metrics") => return Reply::Fresh(Response::text(obs.render_metrics(view))),
+        ("GET", "/statusz") => return Reply::Fresh(Response::ok(obs.statusz_json(view).render())),
+        ("POST", "/ingest") => return Reply::Fresh(ingest(request, view)),
         _ => {}
     }
     let snapshot = view.snapshot();
     let Some(key) = miss else {
-        return route_read(request, &snapshot);
+        return Reply::Fresh(route_read(request, &snapshot));
     };
     let generation = snapshot.generation;
     let response = route_read(request, &snapshot).with_generation(generation);
-    if response.status == 200 {
-        cache.insert(key, generation, response.clone());
+    if response.status != 200 {
+        return Reply::Fresh(response);
     }
-    response
+    let wire = Arc::new(response.into_wire());
+    cache.insert(key, generation, Arc::clone(&wire));
+    Reply::Cached(wire)
 }
 
 /// The pure read surface: every handler here is a function of the
@@ -393,7 +424,9 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
         let key = ResponseCache::key(&get("/query"));
-        assert_eq!(cache.lookup(&key, 0).as_ref(), Some(&first));
+        let cached = cache.lookup(&key, 0).expect("the miss cached its answer");
+        assert_eq!(cached.to_response(), first);
+        assert_eq!(cached.keep_alive_bytes(), first.to_bytes(true));
 
         // the same question again is a hit with identical bytes
         let second = route(&get("/query"), &view, &obs, &cache);

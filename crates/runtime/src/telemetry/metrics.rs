@@ -449,11 +449,12 @@ mod tests {
         );
         requests.add(2);
         requests.inc();
-        // the same (name, labels) pair shares one value
+        // the same (name, labels) pair shares one value, and the first
+        // registration's help text names the family
         registry
             .counter_with(
                 "http_requests_total",
-                "requests served",
+                "a later caller's wording",
                 &[("endpoint", "/query"), ("status", "200")],
             )
             .inc();
@@ -466,6 +467,10 @@ mod tests {
         let text = registry.render_prometheus();
         assert!(
             text.contains("# TYPE http_requests_total counter"),
+            "{text}"
+        );
+        assert!(
+            text.contains("# HELP http_requests_total requests served\n"),
             "{text}"
         );
         assert!(

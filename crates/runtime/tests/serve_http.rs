@@ -57,6 +57,12 @@ fn start_server(store_root: &PathBuf) -> (SocketAddr, ServerHandle, std::thread:
 /// close`, so `read_to_end` sees EOF as soon as the answer is written);
 /// returns (status, body).
 fn http(addr: SocketAddr, method: &str, target: &str, body: &[u8]) -> (u16, String) {
+    let (status, body, _) = http_raw(addr, method, target, body);
+    (status, body)
+}
+
+/// As [`http`], plus the length of the whole response (head and body).
+fn http_raw(addr: SocketAddr, method: &str, target: &str, body: &[u8]) -> (u16, String, usize) {
     let mut stream = TcpStream::connect(addr).unwrap();
     let head = format!(
         "{method} {target} HTTP/1.1\r\nHost: fahana\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -66,6 +72,7 @@ fn http(addr: SocketAddr, method: &str, target: &str, body: &[u8]) -> (u16, Stri
     stream.write_all(body).unwrap();
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).unwrap();
+    let length = raw.len();
     let raw = String::from_utf8(raw).unwrap();
     let (head, body) = raw.split_once("\r\n\r\n").expect("response has a head");
     assert!(
@@ -78,7 +85,7 @@ fn http(addr: SocketAddr, method: &str, target: &str, body: &[u8]) -> (u16, Stri
         .expect("status line has a code")
         .parse()
         .unwrap();
-    (status, body.to_string())
+    (status, body.to_string(), length)
 }
 
 fn get(addr: SocketAddr, target: &str) -> (u16, String) {
@@ -317,36 +324,119 @@ fn metrics_and_statusz_reflect_live_traffic() {
     store.ingest("seeded", &tiny_report(81)).unwrap();
     let (addr, handle, runner) = start_server(&store_root);
 
-    // traffic: two healthz, one query, one miss
-    assert_eq!(get(addr, "/healthz").0, 200);
-    assert_eq!(get(addr, "/healthz").0, 200);
-    assert_eq!(get(addr, "/query").0, 200);
-    assert_eq!(get(addr, "/nope").0, 404);
+    // before any request is recorded, no request series exists: the first
+    // scrape renders before it accounts itself
+    let (status, before, mut response_bytes) = http_raw(addr, "GET", "/metrics", b"");
+    assert_eq!(status, 200);
+    assert!(!before.contains("fahana_http_"), "{before}");
+
+    // a fixed sequence covering every status a routed request can get
+    let report = tiny_report(82);
+    let sequence: [(&str, &str, &[u8], u16); 12] = [
+        ("GET", "/healthz", b"", 200),
+        ("GET", "/healthz", b"", 200),
+        ("GET", "/query", b"", 200),
+        ("GET", "/query?bogus=1", b"", 400),
+        ("GET", "/nope", b"", 404),
+        ("POST", "/query", b"", 405),
+        ("POST", "/ingest?id=bump", report.as_bytes(), 201),
+        ("POST", "/ingest?id=bump", report.as_bytes(), 409),
+        ("GET", "/catalog", b"", 200),
+        ("GET", "/catalog", b"", 200),
+        ("GET", "/leaderboard/raspberry_pi_4", b"", 200),
+        ("GET", "/leaderboard/odroid_xu4?top=1", b"", 200),
+    ];
+    let mut body_bytes = 0;
+    for (method, target, body, expected) in sequence {
+        let (status, _, length) = http_raw(addr, method, target, body);
+        assert_eq!(status, expected, "{method} {target}");
+        body_bytes += body.len();
+        response_bytes += length;
+    }
 
     let (status, first) = get(addr, "/metrics");
     assert_eq!(status, 200);
+    // every request series, exactly: the set present and each count
+    let series = |text: &str, family: &str| -> Vec<(String, f64)> {
+        text.lines()
+            .filter(|line| line.starts_with(family))
+            .map(|line| {
+                let (name, value) = line.rsplit_once(' ').unwrap();
+                (name.to_string(), value.parse().unwrap())
+            })
+            .collect()
+    };
+    let requests: Vec<(String, f64)> = [
+        (r#"{endpoint="/catalog",status="200"}"#, 2.0),
+        (r#"{endpoint="/healthz",status="200"}"#, 2.0),
+        (r#"{endpoint="/ingest",status="201"}"#, 1.0),
+        (r#"{endpoint="/ingest",status="409"}"#, 1.0),
+        (r#"{endpoint="/leaderboard/{device}",status="200"}"#, 2.0),
+        (r#"{endpoint="/metrics",status="200"}"#, 1.0),
+        (r#"{endpoint="/query",status="200"}"#, 1.0),
+        (r#"{endpoint="/query",status="400"}"#, 1.0),
+        (r#"{endpoint="/query",status="405"}"#, 1.0),
+        (r#"{endpoint="other",status="404"}"#, 1.0),
+    ]
+    .into_iter()
+    .map(|(labels, count)| (format!("fahana_http_requests_total{labels}"), count))
+    .collect();
     assert_eq!(
-        sample(
-            &first,
-            r#"fahana_http_requests_total{endpoint="/healthz",status="200"}"#
-        ),
-        Some(2.0),
+        series(&first, "fahana_http_requests_total"),
+        requests,
+        "{first}"
+    );
+    let latencies: Vec<(String, f64)> = [
+        ("/catalog", 2.0),
+        ("/healthz", 2.0),
+        ("/ingest", 2.0),
+        ("/leaderboard/{device}", 2.0),
+        ("/metrics", 1.0),
+        ("/query", 3.0),
+        ("other", 1.0),
+    ]
+    .into_iter()
+    .map(|(endpoint, count)| {
+        (
+            format!(r#"fahana_http_request_ms_count{{endpoint="{endpoint}"}}"#),
+            count,
+        )
+    })
+    .collect();
+    assert_eq!(
+        series(&first, "fahana_http_request_ms_count"),
+        latencies,
         "{first}"
     );
     assert_eq!(
-        sample(
-            &first,
-            r#"fahana_http_requests_total{endpoint="/query",status="200"}"#
-        ),
-        Some(1.0)
+        sample(&first, "fahana_http_request_body_bytes_total"),
+        Some(body_bytes as f64)
     );
-    // unknown paths collapse onto the bounded `other` label
     assert_eq!(
-        sample(
-            &first,
-            r#"fahana_http_requests_total{endpoint="other",status="404"}"#
-        ),
-        Some(1.0)
+        sample(&first, "fahana_http_response_bytes_total"),
+        Some(response_bytes as f64)
+    );
+    // no other request family exists yet: every exchange so far closed
+    // its connection, and none reused one
+    let families: Vec<&str> = first
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE fahana_http_"))
+        .collect();
+    assert_eq!(
+        families,
+        [
+            "connections_total counter",
+            "request_body_bytes_total counter",
+            "request_ms histogram",
+            "requests_total counter",
+            "response_bytes_total counter",
+        ],
+        "{first}"
+    );
+    // one connection per exchange, each closed before its client saw EOF
+    assert_eq!(
+        sample(&first, "fahana_http_connections_total"),
+        Some(sequence.len() as f64 + 1.0)
     );
     // histogram plumbing: the +Inf bucket covers every /healthz request
     assert_eq!(
@@ -364,9 +454,6 @@ fn metrics_and_statusz_reflect_live_traffic() {
         ),
         Some(2.0)
     );
-    // each exchange above was its own Connection: close connection
-    assert!(sample(&first, "fahana_http_connections_total").unwrap() >= 4.0);
-    assert!(sample(&first, "fahana_http_response_bytes_total").unwrap() > 0.0);
     // pool gauges are wired into the scrape
     assert_eq!(sample(&first, "fahana_pool_threads"), Some(4.0), "{first}");
 
@@ -386,16 +473,16 @@ fn metrics_and_statusz_reflect_live_traffic() {
             &second,
             r#"fahana_http_request_ms_bucket{endpoint="/query",le="+Inf"}"#
         ),
-        Some(2.0)
+        Some(4.0)
     );
-    // a scrape accounts itself once written: the first /metrics request
-    // shows up in the second one
+    // a scrape accounts itself once written: the previous /metrics
+    // request shows up in this one
     assert_eq!(
         sample(
             &second,
             r#"fahana_http_requests_total{endpoint="/metrics",status="200"}"#
         ),
-        Some(1.0),
+        Some(2.0),
         "{second}"
     );
 
@@ -404,10 +491,27 @@ fn metrics_and_statusz_reflect_live_traffic() {
     assert_eq!(status, 200);
     let statusz = Json::parse(&body).unwrap();
     assert_eq!(statusz.get("status").unwrap().as_str(), Some("ok"));
-    assert_eq!(statusz.get("campaigns").unwrap().as_i64(), Some(1));
-    assert_eq!(statusz.get("store_generation").unwrap().as_i64(), Some(0));
+    assert_eq!(statusz.get("campaigns").unwrap().as_i64(), Some(2));
+    assert_eq!(statusz.get("store_generation").unwrap().as_i64(), Some(1));
     assert!(statusz.get("uptime_ms").unwrap().as_i64().unwrap() >= 0);
     let endpoints = statusz.get("endpoints").unwrap().as_arr().unwrap();
+    let names: Vec<&str> = endpoints
+        .iter()
+        .map(|e| e.get("endpoint").unwrap().as_str().unwrap())
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "/catalog",
+            "/healthz",
+            "/ingest",
+            "/leaderboard/{device}",
+            "/metrics",
+            "/query",
+            "other"
+        ],
+        "endpoints with a recorded request, sorted"
+    );
     let healthz = endpoints
         .iter()
         .find(|e| e.get("endpoint").unwrap().as_str() == Some("/healthz"))
@@ -439,9 +543,8 @@ fn metrics_and_statusz_reflect_live_traffic() {
     }
 
     // an ingest bumps the store generation both renderings report
-    let report = tiny_report(82);
     assert_eq!(
-        http(addr, "POST", "/ingest?id=bump", report.as_bytes()).0,
+        http(addr, "POST", "/ingest?id=late", report.as_bytes()).0,
         201
     );
     let (_, body) = get(addr, "/statusz");
@@ -451,7 +554,7 @@ fn metrics_and_statusz_reflect_live_traffic() {
             .get("store_generation")
             .unwrap()
             .as_i64(),
-        Some(1),
+        Some(2),
         "{body}"
     );
 
